@@ -1,0 +1,8 @@
+"""Make the benchmark modules and the gofboot sources of this checkout importable."""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(BENCH_DIR.parent / "src"))
+sys.path.insert(0, str(BENCH_DIR))
