@@ -2,9 +2,9 @@
 
 Fits y = X beta + eps with eps ~ N(0, sigma2) by maximum likelihood,
 estimates the misspecification-robust variance of the fit statistic
--2 loglik via the sandwich covariance, and tests the model by checking
-whether a bootstrap percentile interval of that variance covers 2n, its
-value under correct specification. Classical White and Breusch-Pagan
+-2 loglik (the sandwich covariance, in closed form), and tests the model
+by checking whether a bootstrap percentile interval of that variance
+covers 2n, its value under correct specification. Classical White and Breusch-Pagan
 tests and a Monte Carlo harness are included for comparison studies.
 """
 
@@ -51,6 +51,7 @@ from .variance import (
     sandwich,
     score_components,
     theoretical_var_gof,
+    var_gof,
 )
 
 __version__ = "0.1.0"
@@ -86,10 +87,12 @@ __all__ = [
     "observed_information",
     "percentile_interval",
     "resample",
+    "run_monte_carlo",
     "run_test",
     "sandwich",
     "score_components",
     "theoretical_var_gof",
     "trigamma",
+    "var_gof",
     "white_test",
 ]

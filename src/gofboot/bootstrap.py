@@ -6,9 +6,10 @@ replacement, the model is refit on each resample, and the robust variance
 is recomputed; the null is rejected when the percentile interval of the
 bootstrap values does not contain 2n.
 
-Every bootstrap iteration draws from its own RNG stream, derived from the
-master seed by jumping a counter-based Philox generator by the iteration
-index. Results are therefore bit-identical for any degree of parallelism.
+Every bootstrap iteration draws from its own RNG stream: a counter-based
+Philox generator keyed by the master seed whose counter starts at the
+iteration index. Results are therefore bit-identical for any degree of
+parallelism.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .regression import (
     fit_mle,
     least_squares,
 )
-from .variance import _sandwich_core, sandwich, theoretical_var_gof
+from .variance import theoretical_var_gof, var_gof
 
 __all__ = [
     "BootstrapConfig",
@@ -106,11 +107,13 @@ class GofTestResult:
 def iteration_stream(seed: int, iteration: int) -> np.random.Generator:
     """RNG stream for one bootstrap iteration.
 
-    Stream ``iteration`` is a Philox generator keyed by ``seed`` and jumped
-    ``iteration`` times, so streams are independent and reproducible in any
-    execution order.
+    Stream ``iteration`` is a Philox generator keyed by ``seed`` whose
+    counter starts where ``jumped(iteration)`` would put it, so streams are
+    independent and reproducible in any execution order.
     """
-    return np.random.Generator(np.random.Philox(key=seed).jumped(iteration))
+    return np.random.Generator(
+        np.random.Philox(key=seed, counter=[0, 0, iteration, 0])
+    )
 
 
 def resample(data: Dataset, rng: np.random.Generator) -> Dataset:
@@ -156,7 +159,7 @@ def run_test(
     """
     model = fit_mle(data, spec)
     X, y = build_design(data, spec)
-    var_observed = sandwich(model, data).var_gof
+    var_observed = var_gof(model.residuals, model.sigma2_hat)
 
     b_total = cfg.n_boot
     boot_values = np.empty(b_total)
@@ -212,7 +215,7 @@ def _resample_var_gof(
         if rank == r:
             sigma2 = float(residuals @ residuals) / n
             if sigma2 > DEGENERATE_TOLERANCE * float(np.var(yb)):
-                return _sandwich_core(Xb, residuals, sigma2).var_gof, redraws
+                return var_gof(residuals, sigma2), redraws
         redraws += 1
         if redraws > max_redraws:
             raise RedrawLimitError(
@@ -222,12 +225,12 @@ def _resample_var_gof(
 
 def _chunk_worker(payload) -> tuple[int, np.ndarray, int]:
     X, y, seed, start, stop, max_redraws = payload
-    base = np.random.Philox(key=seed)
     values = np.empty(stop - start)
     redraws_total = 0
     for b in range(start, stop):
-        rng = np.random.Generator(base.jumped(b))
-        value, redraws = _resample_var_gof(X, y, rng, max_redraws)
+        value, redraws = _resample_var_gof(
+            X, y, iteration_stream(seed, b), max_redraws
+        )
         values[b - start] = value
         redraws_total += redraws
     return start, values, redraws_total

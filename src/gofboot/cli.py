@@ -20,7 +20,7 @@ from .diagnostics import breusch_pagan, white_test
 from .errors import DataFormatError, GofbootError
 from .regression import Dataset, ModelSpec, aic, bic, fit_mle, gof_term
 from .simulation import run_monte_carlo
-from .variance import exact_var_gof, sandwich, theoretical_var_gof
+from .variance import exact_var_gof, theoretical_var_gof, var_gof
 
 __all__ = ["ingest_csv", "main"]
 
@@ -105,8 +105,7 @@ def _cmd_fit(args) -> int:
         intercept=not args.no_intercept,
     )
     model = fit_mle(data, spec)
-    est = sandwich(model, data)
-    record = _fit_record(model, est)
+    record = _fit_record(model)
     _emit(record, args.format, _fit_lines(record))
     return EXIT_OK
 
@@ -124,12 +123,11 @@ def _cmd_test(args) -> int:
     seed = args.seed if args.seed is not None else secrets.randbits(64)
     cfg = BootstrapConfig(n_boot=args.boot, alpha=args.alpha, seed=seed)
     model = fit_mle(data, spec)
-    est = sandwich(model, data)
     result = run_test(data, spec, cfg, threads=args.threads)
     white = white_test(model, data)
     bp = breusch_pagan(model, data)
 
-    record = _fit_record(model, est)
+    record = _fit_record(model)
     record.update(
         alpha=cfg.alpha,
         B=cfg.n_boot,
@@ -198,7 +196,7 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _fit_record(model, est) -> dict:
+def _fit_record(model) -> dict:
     names = (["intercept"] if model.spec.intercept else []) + list(
         model.spec.covariates
     )
@@ -211,7 +209,7 @@ def _fit_record(model, est) -> dict:
         "gof_term": gof_term(model),
         "aic": aic(model),
         "bic": bic(model),
-        "var_gof": est.var_gof,
+        "var_gof": var_gof(model.residuals, model.sigma2_hat),
         "reference": theoretical_var_gof(model.n),
         "exact_var_gof": exact_var_gof(model.n, model.r),
     }
@@ -314,18 +312,6 @@ def _add_model_flags(sub) -> None:
     )
 
 
-def _add_common_flags(sub) -> None:
-    sub.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    sub.add_argument(
-        "--threads",
-        type=_min_int_type(1, "threads"),
-        default=1,
-        help="worker processes; results are identical for any value",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gofboot",
@@ -335,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fit = commands.add_parser("fit", help="fit the model and report diagnostics")
     _add_model_flags(fit)
-    _add_common_flags(fit)
     fit.set_defaults(handler=_cmd_fit)
 
     test = commands.add_parser("test", help="run the bootstrap test on a CSV")
@@ -353,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="master seed; a random one is drawn and printed when omitted",
     )
-    _add_common_flags(test)
     test.set_defaults(handler=_cmd_test)
 
     sim = commands.add_parser("simulate", help="Monte Carlo rejection rates")
@@ -381,8 +365,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--alpha", type=_alpha_type, default=0.05, help="test level")
     sim.add_argument("--seed", type=_seed_type, required=True, help="master seed")
-    _add_common_flags(sim)
     sim.set_defaults(handler=_cmd_simulate)
+
+    for sub in (fit, test, sim):
+        sub.add_argument(
+            "--format", choices=("text", "json"), default="text", help="output format"
+        )
+    for sub in (test, sim):
+        sub.add_argument(
+            "--threads",
+            type=_min_int_type(1, "threads"),
+            default=1,
+            help="worker processes; results are identical for any value",
+        )
     return parser
 
 

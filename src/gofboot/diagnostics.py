@@ -127,7 +127,8 @@ def _nr2_test(model: FittedModel, aux: np.ndarray) -> AuxTestResult:
     n, cols = aux.shape
     df = cols - 1
     z = model.residuals**2
-    _, residuals, rank = least_squares(aux, z)
+    # unit-norm columns make the rank decision independent of their units
+    _, residuals, rank = least_squares(aux / np.linalg.norm(aux, axis=0), z)
     if rank < cols:
         raise RankDeficientError(
             f"auxiliary design has rank {rank}, expected {cols}", rank=rank

@@ -32,7 +32,7 @@ class DegenerateFitError(GofbootError):
 
 
 class SingularInformationError(GofbootError):
-    """Observed information matrix is singular or near singular."""
+    """The design is near singular: equilibrated Gram condition above 1e12."""
 
 
 class RedrawLimitError(GofbootError):

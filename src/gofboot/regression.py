@@ -19,6 +19,7 @@ from .errors import (
     DegenerateFitError,
     InsufficientDataError,
     RankDeficientError,
+    SingularInformationError,
 )
 
 __all__ = ["Dataset", "ModelSpec", "FittedModel", "fit_mle", "gof_term", "aic", "bic"]
@@ -28,6 +29,9 @@ RANK_TOLERANCE = 1e-10
 
 # sigma2_hat below this multiple of Var(y) counts as a perfect fit.
 DEGENERATE_TOLERANCE = 1e-12
+
+# Near-singular limit on the condition number of the equilibrated design Gram.
+CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -128,8 +132,6 @@ class FittedModel:
         Number of mean parameters (columns of the design matrix).
     loglik : float
         Maximized log-likelihood.
-    xtx_inverse : np.ndarray
-        (X'X)^{-1}, shape (r, r).
     spec : ModelSpec
         The specification that produced the design matrix.
     """
@@ -140,7 +142,6 @@ class FittedModel:
     n: int
     r: int
     loglik: float
-    xtx_inverse: np.ndarray
     spec: ModelSpec = field(repr=False)
 
 
@@ -199,6 +200,9 @@ def fit_mle(data: Dataset, spec: ModelSpec) -> FittedModel:
         If the design matrix is numerically rank deficient.
     DegenerateFitError
         If the fit is perfect, sigma2_hat <= 1e-12 * Var(y).
+    SingularInformationError
+        If D^{-1} X'X D^{-1}, D = sqrt(diag(X'X)), has condition number
+        above 1e12; unlike that of X'X, it does not change with units.
     """
     X, y = build_design(data, spec)
     n, r = X.shape
@@ -216,8 +220,15 @@ def fit_mle(data: Dataset, spec: ModelSpec) -> FittedModel:
         raise DegenerateFitError(
             f"residual variance {sigma2:.3e} is zero within tolerance"
         )
+    gram = X.T @ X
+    scale = np.sqrt(np.diag(gram))
+    cond = np.linalg.cond(gram / np.outer(scale, scale))
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise SingularInformationError(
+            f"equilibrated design Gram condition number {cond:.3e} exceeds "
+            f"{CONDITION_LIMIT:.0e}"
+        )
     loglik = -0.5 * n * (math.log(2.0 * math.pi) + 1.0 + math.log(sigma2))
-    xtx_inverse = np.linalg.inv(X.T @ X)
     return FittedModel(
         beta_hat=beta,
         sigma2_hat=sigma2,
@@ -225,7 +236,6 @@ def fit_mle(data: Dataset, spec: ModelSpec) -> FittedModel:
         n=n,
         r=r,
         loglik=loglik,
-        xtx_inverse=xtx_inverse,
         spec=spec,
     )
 

@@ -13,6 +13,9 @@ The bottom-right element s_n of C_n estimates n Var(sigma2_hat), and
 
 Under a correctly specified model this is close to 2n, which is what the
 bootstrap test uses as its reference value.
+
+At the MLE X'e = 0 makes the information block diagonal, so this reduces
+to the closed form ``var_gof``; ``sandwich`` keeps the matrix derivation.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularInformationError
 from .regression import Dataset, FittedModel, build_design
 from .special import trigamma
 
@@ -30,12 +32,10 @@ __all__ = [
     "score_components",
     "observed_information",
     "sandwich",
+    "var_gof",
     "theoretical_var_gof",
     "exact_var_gof",
 ]
-
-# Condition number above which the observed information is treated as singular.
-CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -82,28 +82,44 @@ def observed_information(model: FittedModel, data: Dataset) -> np.ndarray:
 
     Blocks: X'X / sigma2 (beta), X'e / sigma2**2 (cross, numerically zero at
     the MLE), and -n / (2 sigma2**2) + e'e / sigma2**3 (sigma2).
-
-    Raises
-    ------
-    SingularInformationError
-        If the condition number exceeds 1e12.
     """
     X, _ = build_design(data, model.spec)
-    info = _information_matrix(X, model.residuals, model.sigma2_hat)
-    _check_condition(info)
-    return info
+    return _information_matrix(X, model.residuals, model.sigma2_hat)
 
 
 def sandwich(model: FittedModel, data: Dataset) -> SandwichEstimate:
     """Robust sandwich estimate of Var[-2 loglik] for a fitted model.
 
-    Raises
-    ------
-    SingularInformationError
-        If the observed information has condition number above 1e12.
+    This is the matrix derivation of ``var_gof``; the two agree at the MLE.
     """
     X, _ = build_design(data, model.spec)
-    return _sandwich_core(X, model.residuals, model.sigma2_hat)
+    residuals, sigma2 = model.residuals, model.sigma2_hat
+    n, r = X.shape
+    info = _information_matrix(X, residuals, sigma2)
+    info_inv = np.linalg.inv(info)
+    U = _score_matrix(X, residuals, sigma2)
+    outer = U.T @ U
+    c_n = n * (info_inv @ outer @ info_inv)
+    s_n = float(c_n[r, r])
+    return SandwichEstimate(
+        observed_info=info,
+        score_outer_sum=outer,
+        c_n=c_n,
+        s_n=s_n,
+        var_gof=n / (sigma2 * sigma2) * s_n,
+    )
+
+
+def var_gof(residuals: np.ndarray, sigma2: float) -> float:
+    """Robust variance of -2 loglik at the MLE, in closed form.
+
+    Returns sum_i (e_i**2 - sigma2)**2 / sigma2**2, the statistic the
+    bootstrap test resamples. For the residuals and ``sigma2_hat`` of an MLE
+    fit it equals ``sandwich(model, data).var_gof`` and n (m4 / sigma2**2 - 1),
+    with m4 the fourth residual moment, so the units of y do not matter.
+    """
+    d = residuals * residuals - sigma2
+    return float(d @ d) / (sigma2 * sigma2)
 
 
 def theoretical_var_gof(n: int) -> float:
@@ -154,35 +170,3 @@ def _information_matrix(
     info[r, :r] = cross
     info[r, r] = -0.5 * n / sigma2**2 + rss / sigma2**3
     return info
-
-
-def _check_condition(info: np.ndarray) -> None:
-    cond = np.linalg.cond(info)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularInformationError(
-            f"observed information condition number {cond:.3e} exceeds "
-            f"{CONDITION_LIMIT:.0e}"
-        )
-
-
-def _sandwich_core(
-    X: np.ndarray, residuals: np.ndarray, sigma2: float
-) -> SandwichEstimate:
-    # Shared by the public API and the bootstrap hot path: both routes see
-    # exactly the same arithmetic.
-    n, r = X.shape
-    info = _information_matrix(X, residuals, sigma2)
-    _check_condition(info)
-    info_inv = np.linalg.inv(info)
-    U = _score_matrix(X, residuals, sigma2)
-    outer = U.T @ U
-    c_n = n * (info_inv @ outer @ info_inv)
-    s_n = float(c_n[r, r])
-    var_gof = n / (sigma2 * sigma2) * s_n
-    return SandwichEstimate(
-        observed_info=info,
-        score_outer_sum=outer,
-        c_n=c_n,
-        s_n=s_n,
-        var_gof=var_gof,
-    )

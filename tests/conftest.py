@@ -54,3 +54,21 @@ def scenario1_dataset(seed, n):
     y = 2.0 + 2.0 * x1 + 2.0 * x2 + 2.0 * rng.standard_normal(n)
     data = Dataset({"y": y, "x1": x1, "x2": x2})
     return data, ModelSpec(response="y", covariates=("x1", "x2"))
+
+
+def _permute_rows(columns):
+    order = np.random.default_rng(0).permutation(columns["y"].size)
+    return {name: values[order] for name, values in columns.items()}
+
+
+# Maps of a scenario-1 column dict that leave var_gof unchanged in exact
+# arithmetic: a change of units of y, affine maps of the covariates, and a
+# reordering of the rows. The y maps scale y + 5 rather than shift a scaled
+# y, because 3 - 1e-8 y would lose eight digits to rounding in the data.
+INVARIANT_TRANSFORMS = {
+    "y-to-1e-8(y+5)": lambda cols: {**cols, "y": 1e-8 * (cols["y"] + 5.0)},
+    "y-to-1e5(y+5)": lambda cols: {**cols, "y": 1e5 * (cols["y"] + 5.0)},
+    "x1-to-1e6x1+3": lambda cols: {**cols, "x1": 1e6 * cols["x1"] + 3.0},
+    "x2-to-1e3-0.5x2": lambda cols: {**cols, "x2": -0.5 * cols["x2"] + 1e3},
+    "row-permutation": _permute_rows,
+}

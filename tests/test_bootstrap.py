@@ -17,6 +17,7 @@ from gofboot import (
     run_test,
     sandwich,
     theoretical_var_gof,
+    var_gof,
 )
 from conftest import scenario1_dataset
 
@@ -123,6 +124,15 @@ class TestIterationStream:
         b = iteration_stream(123, 1).integers(0, 2**63, 8)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("iteration", [0, 1, 4095])
+    def test_matches_jumped_philox(self, seed, iteration):
+        jumped = np.random.Generator(np.random.Philox(key=seed).jumped(iteration))
+        assert np.array_equal(
+            iteration_stream(seed, iteration).integers(0, 2**63, 64),
+            jumped.integers(0, 2**63, 64),
+        )
+
 
 # ---------------------------------------------------------------------------
 # run_test
@@ -151,7 +161,10 @@ class TestRunTest:
     def test_observed_value_matches_sandwich(self, small_case):
         data, spec, _, result = small_case
         model = fit_mle(data, spec)
-        assert result.var_gof_observed == sandwich(model, data).var_gof
+        assert result.var_gof_observed == var_gof(model.residuals, model.sigma2_hat)
+        assert result.var_gof_observed == pytest.approx(
+            sandwich(model, data).var_gof, rel=1e-12
+        )
 
     def test_rerun_is_bit_identical(self, small_case):
         data, spec, cfg, result = small_case
@@ -174,7 +187,18 @@ class TestRunTest:
         data, spec, cfg, result = small_case
         boot_data = resample(data, iteration_stream(cfg.seed, 0))
         model = fit_mle(boot_data, spec)
-        assert sandwich(model, boot_data).var_gof == result.boot_values[0]
+        assert var_gof(model.residuals, model.sigma2_hat) == result.boot_values[0]
+        assert result.boot_values[0] == pytest.approx(
+            sandwich(model, boot_data).var_gof, rel=1e-12
+        )
+
+    def test_invariant_to_units_of_response(self):
+        data, spec = scenario1_dataset(seed=1, n=500)
+        scaled = Dataset({**data.columns, "y": 1e5 * data.columns["y"]})
+        cfg = BootstrapConfig(n_boot=200, alpha=0.05, seed=3)
+        base, moved = run_test(data, spec, cfg), run_test(scaled, spec, cfg)
+        assert moved.reject == base.reject
+        assert moved.boot_values == pytest.approx(base.boot_values, rel=1e-12)
 
     def test_rejection_monotone_in_alpha(self):
         data, spec = scenario1_dataset(seed=33, n=60)

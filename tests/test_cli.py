@@ -9,6 +9,7 @@ import pytest
 
 from gofboot.cli import ingest_csv, main
 from gofboot import DataFormatError
+from conftest import INVARIANT_TRANSFORMS, scenario1_dataset
 
 
 def write_csv(path, cols):
@@ -118,6 +119,27 @@ class TestFitCommand:
         assert code == 0
         assert record["coefficient_names"] == ["x"]
         assert len(record["beta_hat"]) == 1
+
+    @pytest.mark.parametrize(
+        "transform",
+        INVARIANT_TRANSFORMS.values(),
+        ids=list(INVARIANT_TRANSFORMS),
+    )
+    def test_var_gof_invariant_to_units_affine_maps_and_row_order(
+        self, tmp_path, capsys, transform
+    ):
+        data, _ = scenario1_dataset(seed=1, n=500)
+        printed = []
+        for name, cols in (("base", data.columns), ("moved", transform(data.columns))):
+            path = tmp_path / f"{name}.csv"
+            write_csv(path, cols)
+            code = main(["fit", "--data", str(path), "--response", "y",
+                         "--covariates", "x1,x2"])
+            out = capsys.readouterr().out
+            assert code == 0
+            printed.append([line for line in out.splitlines()
+                            if line.startswith("var_gof:")])
+        assert printed[0] == printed[1]
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +297,26 @@ class TestExitCodes:
                      "--covariates", "x"])
         assert code == 2
         assert "variance" in capsys.readouterr().err
+
+    def test_near_singular_design_exits_two(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(40)
+        path = tmp_path / "near_dup.csv"
+        write_csv(path, {"y": rng.standard_normal(40), "a": x,
+                         "b": x + 1e-7 * rng.standard_normal(40)})
+        code = main(["fit", "--data", str(path), "--response", "y",
+                     "--covariates", "a,b"])
+        assert code == 2
+        assert "condition number" in capsys.readouterr().err
+
+    def test_fit_takes_no_threads_flag(self, three_point_csv, capsys):
+        code = main(["fit", "--data", three_point_csv, "--response", "y",
+                     "--threads", "2"])
+        assert code == 1
+        assert "--threads" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["fit", "--help"])
+        assert "--threads" not in capsys.readouterr().out
 
     def test_too_few_rows_exits_two(self, tmp_path, capsys):
         path = tmp_path / "short.csv"

@@ -12,7 +12,7 @@ from gofboot import (
     white_test,
 )
 from gofboot.simulation import ScenarioSpec, fitted_spec_for, generate
-from conftest import scenario1_dataset
+from conftest import INVARIANT_TRANSFORMS, scenario1_dataset
 
 # ---------------------------------------------------------------------------
 # auxiliary design construction
@@ -99,6 +99,22 @@ class TestStatisticProperties:
             b = test(shifted_model, shifted)
             assert a.statistic == pytest.approx(b.statistic, rel=1e-10)
             assert a.df == b.df
+
+    @pytest.mark.parametrize(
+        "transform",
+        INVARIANT_TRANSFORMS.values(),
+        ids=list(INVARIANT_TRANSFORMS),
+    )
+    def test_invariant_to_units_affine_maps_and_row_order(self, transform):
+        # the auxiliary designs span the same space after any of these maps
+        data, spec = scenario1_dataset(seed=1, n=500)
+        moved = Dataset(transform(data.columns))
+        model, moved_model = fit_mle(data, spec), fit_mle(moved, spec)
+        for test in (white_test, breusch_pagan):
+            a = test(model, data)
+            b = test(moved_model, moved)
+            assert b.statistic == pytest.approx(a.statistic, rel=1e-8)
+            assert b.df == a.df
 
     def test_reject_at(self):
         data, spec = scenario1_dataset(seed=15, n=90)

@@ -64,7 +64,6 @@ def synthetic_model(n, sigma2, r=1):
         n=n,
         r=r,
         loglik=math.nan,
-        xtx_inverse=np.eye(r),
         spec=ModelSpec(response="y", covariates=()),
     )
 

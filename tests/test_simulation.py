@@ -142,6 +142,11 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError):
             run_monte_carlo(1, 40, 0, cfg)
 
+    def test_exported_by_star_import(self):
+        namespace = {}
+        exec("from gofboot import *", namespace)
+        assert namespace["run_monte_carlo"] is run_monte_carlo
+
 
 # ---------------------------------------------------------------------------
 # published operating characteristics

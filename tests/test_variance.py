@@ -22,9 +22,10 @@ from gofboot import (
     score_components,
     theoretical_var_gof,
     trigamma,
+    var_gof,
 )
 from gofboot.regression import build_design
-from conftest import random_regression, scenario1_dataset
+from conftest import INVARIANT_TRANSFORMS, random_regression, scenario1_dataset
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -199,7 +200,7 @@ class TestSandwich:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(40)
         # a nearly duplicated covariate passes the rank check but leaves
-        # the information matrix with condition number above 1e12
+        # the equilibrated design Gram with condition number above 1e12
         data = Dataset(
             {
                 "a": x,
@@ -207,9 +208,33 @@ class TestSandwich:
                 "y": rng.standard_normal(40),
             }
         )
-        model = fit_mle(data, ModelSpec(response="y", covariates=("a", "b")))
         with pytest.raises(SingularInformationError):
-            sandwich(model, data)
+            fit_mle(data, ModelSpec(response="y", covariates=("a", "b")))
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_equals_matrix_path(self, seed):
+        data, spec = random_regression(seed)
+        model = fit_mle(data, spec)
+        assert var_gof(model.residuals, model.sigma2_hat) == pytest.approx(
+            sandwich(model, data).var_gof, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "transform",
+        INVARIANT_TRANSFORMS.values(),
+        ids=list(INVARIANT_TRANSFORMS),
+    )
+    def test_invariant_to_units_affine_maps_and_row_order(self, transform, seed):
+        data, spec = scenario1_dataset(seed=seed, n=500)
+        moved = Dataset(transform(data.columns))
+        base = fit_mle(data, spec)
+        model = fit_mle(moved, spec)
+        assert var_gof(model.residuals, model.sigma2_hat) == pytest.approx(
+            var_gof(base.residuals, base.sigma2_hat), rel=1e-10
+        )
 
 
 # ---------------------------------------------------------------------------
