@@ -43,7 +43,7 @@ from .simulation import (
     generate,
     run_monte_carlo,
 )
-from .special import chi_squared_cdf, trigamma
+from .special import chi_squared_cdf, chi_squared_sf, trigamma
 from .variance import (
     SandwichEstimate,
     exact_var_gof,
@@ -78,6 +78,7 @@ __all__ = [
     "bic",
     "breusch_pagan",
     "chi_squared_cdf",
+    "chi_squared_sf",
     "exact_var_gof",
     "fit_mle",
     "fitted_spec_for",

@@ -122,12 +122,11 @@ def _cmd_test(args) -> int:
     )
     seed = args.seed if args.seed is not None else secrets.randbits(64)
     cfg = BootstrapConfig(n_boot=args.boot, alpha=args.alpha, seed=seed)
-    model = fit_mle(data, spec)
     result = run_test(data, spec, cfg, threads=args.threads)
-    white = white_test(model, data)
-    bp = breusch_pagan(model, data)
+    white = white_test(result.model, data)
+    bp = breusch_pagan(result.model, data)
 
-    record = _fit_record(model)
+    record = _fit_record(result.model)
     record.update(
         alpha=cfg.alpha,
         B=cfg.n_boot,

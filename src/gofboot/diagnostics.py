@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import RankDeficientError
 from .regression import Dataset, FittedModel, least_squares
-from .special import chi_squared_cdf
+from .special import chi_squared_sf
 
 __all__ = ["AuxTestResult", "breusch_pagan", "white_test"]
 
@@ -140,5 +140,5 @@ def _nr2_test(model: FittedModel, aux: np.ndarray) -> AuxTestResult:
     else:
         r_squared = max(0.0, min(1.0, 1.0 - float(residuals @ residuals) / tss))
     statistic = n * r_squared
-    p_value = 1.0 - chi_squared_cdf(statistic, df)
+    p_value = chi_squared_sf(statistic, df)
     return AuxTestResult(statistic=statistic, df=df, p_value=p_value)

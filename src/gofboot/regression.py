@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lstsq
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (
     DegenerateFitError,
@@ -32,6 +33,8 @@ DEGENERATE_TOLERANCE = 1e-12
 
 # Near-singular limit on the condition number of the equilibrated design Gram.
 CONDITION_LIMIT = 1e12
+
+_gelsy, _gelsy_lwork = get_lapack_funcs(("gelsy", "gelsy_lwork"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -170,12 +173,35 @@ def least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     """Rank-revealing least-squares solve via column-pivoted QR.
 
     Returns (beta, residuals, rank). Never forms the normal equations;
-    rank is detected at relative tolerance ``RANK_TOLERANCE``.
+    rank is detected at relative tolerance ``RANK_TOLERANCE``. Calls LAPACK
+    ``dgelsy`` with the arguments ``scipy.linalg.lstsq(X, y,
+    cond=RANK_TOLERANCE, lapack_driver="gelsy")`` passes it, so the results
+    are bit for bit those of that call, without its per-call validation
+    and workspace query.
     """
-    beta, _, rank, _ = lstsq(
-        X, y, cond=RANK_TOLERANCE, lapack_driver="gelsy", check_finite=False
+    m, r = X.shape
+    b = y
+    if m < r:
+        # gelsy writes the r-row solution into b
+        b = np.zeros(r)
+        b[:m] = y
+    _, x, _, rank, info = _gelsy(
+        X, b, np.zeros(r, dtype=np.int32), RANK_TOLERANCE, _workspace(m, r),
+        overwrite_a=False, overwrite_b=False,
     )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gelsy")
+    beta = x[:r]
     return beta, y - X @ beta, rank
+
+
+@lru_cache(maxsize=64)
+def _workspace(m: int, r: int) -> int:
+    # the optimal lwork for one right-hand side, as scipy.linalg.lstsq takes it
+    work, info = _gelsy_lwork(m, r, 1, RANK_TOLERANCE)
+    if info != 0:
+        raise ValueError(f"gelsy workspace query failed: {info}")
+    return int(work)
 
 
 def fit_mle(data: Dataset, spec: ModelSpec) -> FittedModel:

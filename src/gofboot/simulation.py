@@ -19,6 +19,7 @@ stream, so reports are reproducible and independent of parallelism.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ from .errors import (
     RankDeficientError,
     SingularInformationError,
 )
-from .regression import Dataset, ModelSpec, fit_mle
+from .regression import Dataset, ModelSpec
 
 __all__ = [
     "ScenarioSpec",
@@ -136,8 +137,9 @@ def run_monte_carlo(
 
     Replicate j draws its data from a stream derived from (cfg.seed, j)
     and hands the bootstrap a seed derived the same way, so a report is
-    reproducible bit for bit regardless of ``threads``. Replicates whose
-    original fit fails are counted as exclusions.
+    reproducible bit for bit regardless of ``threads``, which is capped at
+    one worker process per CPU. Replicates whose original fit fails are
+    counted as exclusions.
 
     Raises
     ------
@@ -153,10 +155,10 @@ def run_monte_carlo(
     bp_reject = np.zeros(reps, dtype=bool)
     excluded = np.zeros(reps, dtype=bool)
 
-    if threads <= 1:
+    workers = min(threads, reps, os.cpu_count() or 1)
+    if workers <= 1:
         chunks = [_replicate_chunk((scenario, n, cfg, 0, reps))]
     else:
-        workers = min(threads, reps)
         bounds = np.linspace(0, reps, workers + 1).astype(int)
         payloads = [
             (scenario, n, cfg, int(a), int(b))
@@ -234,10 +236,10 @@ def _replicate_chunk(payload):
         )
         k = j - start
         try:
-            model = fit_mle(data, spec)
-            rej_w[k] = white_test(model, data).reject_at(cfg.alpha)
-            rej_p[k] = breusch_pagan(model, data).reject_at(cfg.alpha)
-            rej_b[k] = run_test(data, spec, rep_cfg).reject
+            result = run_test(data, spec, rep_cfg)
+            rej_b[k] = result.reject
+            rej_w[k] = white_test(result.model, data).reject_at(cfg.alpha)
+            rej_p[k] = breusch_pagan(result.model, data).reject_at(cfg.alpha)
         except _FIT_ERRORS:
             excl[k] = True
     return start, rej_b, rej_w, rej_p, excl

@@ -1,8 +1,12 @@
 """Shared fixtures: small worked examples and random regression problems."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
+import gofboot.regression
 from gofboot import Dataset, ModelSpec
 
 
@@ -72,3 +76,52 @@ INVARIANT_TRANSFORMS = {
     "x2-to-1e3-0.5x2": lambda cols: {**cols, "x2": -0.5 * cols["x2"] + 1e3},
     "row-permutation": _permute_rows,
 }
+
+
+def count_fit_mle(monkeypatch):
+    """Count ``fit_mle`` calls through every module that binds it.
+
+    Returns a list that grows by the ``data.n`` of each call.
+    """
+    calls = []
+    real = gofboot.regression.fit_mle
+
+    def counted(data, spec):
+        calls.append(data.n)
+        return real(data, spec)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gofboot") and getattr(module, "fit_mle", None) is real:
+            monkeypatch.setattr(module, "fit_mle", counted)
+    return calls
+
+
+class _InlinePool:
+    """A ProcessPoolExecutor stand-in that maps in this process."""
+
+    def __init__(self, record, max_workers):
+        record.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+def fake_process_pools(monkeypatch, module, cpus):
+    """Make ``module`` see ``cpus`` CPUs and record each pool's max_workers.
+
+    No process is started: the pools run their work inline.
+    """
+    record = []
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(
+        module,
+        "ProcessPoolExecutor",
+        lambda max_workers: _InlinePool(record, max_workers),
+    )
+    return record

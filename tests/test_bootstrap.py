@@ -19,7 +19,10 @@ from gofboot import (
     theoretical_var_gof,
     var_gof,
 )
-from conftest import scenario1_dataset
+import gofboot.bootstrap as bootstrap
+from gofboot.bootstrap import _chunk_worker, _stream_positioner, _variance_bound
+from gofboot.regression import build_design
+from conftest import fake_process_pools, scenario1_dataset
 
 # ---------------------------------------------------------------------------
 # percentile interval
@@ -133,6 +136,28 @@ class TestIterationStream:
             jumped.integers(0, 2**63, 64),
         )
 
+    @pytest.mark.parametrize("iteration", [0, 1, 4095])
+    @pytest.mark.parametrize(
+        "previous", [(7,), (7, 7), (7, 7, 7)], ids=["odd", "redraw", "two-redraws"]
+    )
+    def test_repositioned_stream_equals_fresh_stream(self, iteration, previous):
+        # the bootstrap reuses one generator, moving it to each iteration
+        seek = _stream_positioner(77)
+        rng = seek(3)
+        for size in previous:
+            rng.integers(0, 80, size=size)
+        rng = seek(iteration)
+        fresh = iteration_stream(77, iteration)
+        moved, expected = rng.bit_generator.state, fresh.bit_generator.state
+        for key in ("counter", "key"):
+            assert np.array_equal(moved["state"][key], expected["state"][key])
+        assert np.array_equal(moved["buffer"], expected["buffer"])
+        for key in ("buffer_pos", "has_uint32", "uinteger"):
+            assert moved[key] == expected[key]
+        assert np.array_equal(
+            rng.integers(0, 80, size=81), fresh.integers(0, 80, size=81)
+        )
+
 
 # ---------------------------------------------------------------------------
 # run_test
@@ -192,6 +217,32 @@ class TestRunTest:
             sandwich(model, boot_data).var_gof, rel=1e-12
         )
 
+    def test_every_iteration_reproducible_from_public_pieces(self, small_case):
+        data, spec, cfg, result = small_case
+        assert result.redraw_count == 0
+        for b, value in enumerate(result.boot_values):
+            model = fit_mle(resample(data, iteration_stream(cfg.seed, b)), spec)
+            assert value == var_gof(model.residuals, model.sigma2_hat)
+
+    def test_result_carries_the_original_fit(self, small_case):
+        data, spec, _, result = small_case
+        model = fit_mle(data, spec)
+        assert np.array_equal(result.model.beta_hat, model.beta_hat)
+        assert np.array_equal(result.model.residuals, model.residuals)
+        assert result.model.sigma2_hat == model.sigma2_hat
+
+    def test_worker_processes_capped_at_cpu_count(self, small_case, monkeypatch):
+        data, spec, cfg, result = small_case
+        pools = fake_process_pools(monkeypatch, bootstrap, cpus=2)
+        capped = run_test(data, spec, cfg, threads=64)
+        assert pools == [2]
+        assert np.array_equal(capped.boot_values, result.boot_values)
+        pools = fake_process_pools(monkeypatch, bootstrap, cpus=1)
+        assert np.array_equal(
+            run_test(data, spec, cfg, threads=64).boot_values, result.boot_values
+        )
+        assert pools == []  # one CPU: no pool
+
     def test_invariant_to_units_of_response(self):
         data, spec = scenario1_dataset(seed=1, n=500)
         scaled = Dataset({**data.columns, "y": 1e5 * data.columns["y"]})
@@ -245,6 +296,51 @@ class TestRunTest:
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             BootstrapConfig(**kwargs)
+
+
+class TestChunkWorker:
+    @pytest.mark.parametrize("case", ["scenario1", "degenerate"])
+    def test_uneven_splits_concatenate_bitwise(self, case):
+        if case == "scenario1":
+            data, spec = scenario1_dataset(seed=6, n=40)
+        else:  # many resamples are constant and get redrawn
+            data = Dataset({"y": np.array([0.0, 0.0, 1.0])})
+            spec = ModelSpec(response="y", covariates=())
+        X, y = build_design(data, spec)
+        bounds = [0, 1, 2, 9, 40, 97]
+        _, whole, redraws = _chunk_worker((X, y, 12, 0, 97, 100))
+        parts = [_chunk_worker((X, y, 12, a, b, 100)) for a, b in zip(bounds, bounds[1:])]
+        assert [start for start, _, _ in parts] == bounds[:-1]
+        assert np.array_equal(np.concatenate([v for _, v, _ in parts]), whole)
+        assert sum(r for _, _, r in parts) == redraws
+        assert (redraws > 0) == (case == "degenerate")
+
+
+class TestVarianceBound:
+    def test_bounds_np_var_of_every_resample(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(5, 300))
+            y = 2.0 + 2.0 * rng.standard_normal(n)
+            bound = _variance_bound(y)
+            for _ in range(25):
+                assert np.var(y[rng.integers(0, n, size=n)]) <= bound
+
+    def test_bounds_np_var_when_values_differ_by_ulps(self):
+        # np.var's rounded mean of a resample then moves its value by as much
+        # as the spread itself; max((y - mean(y))**2) alone fails here
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(5, 300))
+            offset = rng.uniform(1.0, 2.0) * 2.0 ** int(rng.integers(-20, 40))
+            y = offset + np.spacing(offset) * rng.integers(0, 3, size=n)
+            bound = _variance_bound(y)
+            for _ in range(25):
+                assert np.var(y[rng.integers(0, n, size=n)]) <= bound
+
+    def test_constant_response(self):
+        y = np.full(7, 0.1)
+        assert np.var(y) <= _variance_bound(y)
 
 
 # ---------------------------------------------------------------------------

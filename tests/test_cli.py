@@ -9,7 +9,7 @@ import pytest
 
 from gofboot.cli import ingest_csv, main
 from gofboot import DataFormatError
-from conftest import INVARIANT_TRANSFORMS, scenario1_dataset
+from conftest import INVARIANT_TRANSFORMS, count_fit_mle, scenario1_dataset
 
 
 def write_csv(path, cols):
@@ -198,6 +198,13 @@ class TestTestCommand:
         out2 = capsys.readouterr().out
         assert code1 == code2
         assert out1 == out2
+
+    def test_fits_original_data_once(self, well_specified_csv, monkeypatch, capsys):
+        calls = count_fit_mle(monkeypatch)
+        code = main(["test", "--data", well_specified_csv, "--response", "y",
+                     "--covariates", "x1,x2", "--boot", "40", "--seed", "8"])
+        assert code in (0, 3)
+        assert calls == [150]
 
 
 # ---------------------------------------------------------------------------

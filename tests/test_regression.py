@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lstsq
 
 from gofboot import (
     Dataset,
@@ -17,6 +18,7 @@ from gofboot import (
     fit_mle,
     gof_term,
 )
+from gofboot.regression import RANK_TOLERANCE, least_squares
 from conftest import random_regression, scenario1_dataset
 
 # ---------------------------------------------------------------------------
@@ -222,3 +224,40 @@ class TestContainers:
     def test_modelspec_requires_some_mean_structure(self):
         with pytest.raises(ValueError):
             ModelSpec(response="y", covariates=(), intercept=False)
+
+
+# ---------------------------------------------------------------------------
+# least-squares kernel
+# ---------------------------------------------------------------------------
+
+
+def _rank_deficient_design():
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((40, 4))
+    X[:, 3] = X[:, 1] - 2.0 * X[:, 2]
+    return X
+
+
+class TestLeastSquaresKernel:
+    @pytest.mark.parametrize(
+        "X,rank",
+        [
+            (np.random.default_rng(1).standard_normal((3, 1)), 1),
+            (np.column_stack([np.ones(80), np.random.default_rng(2).random((80, 2))]), 3),
+            (np.column_stack([np.ones(200), np.random.default_rng(3).random((200, 2))]), 3),
+            (np.column_stack([np.ones(5000), np.random.default_rng(4).random((5000, 5))]), 6),
+            # an auxiliary design wider than its row count
+            (np.random.default_rng(5).standard_normal((3, 6)), 3),
+            (_rank_deficient_design(), 3),
+        ],
+        ids=["3x1", "80x3", "200x3", "5000x6", "aux-3x6", "rank-deficient"],
+    )
+    def test_bitwise_equal_to_scipy_gelsy(self, X, rank):
+        y = np.random.default_rng(X.shape[0]).standard_normal(X.shape[0])
+        beta, residuals, got_rank = least_squares(X, y)
+        expected, _, expected_rank, _ = lstsq(
+            X, y, cond=RANK_TOLERANCE, lapack_driver="gelsy"
+        )
+        assert np.array_equal(beta, expected)
+        assert np.array_equal(residuals, y - X @ expected)
+        assert got_rank == expected_rank == rank

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gofboot.bootstrap as bootstrap
 import gofboot.simulation as simulation
 from gofboot import (
     BootstrapConfig,
@@ -13,6 +14,7 @@ from gofboot import (
     generate,
     run_monte_carlo,
 )
+from conftest import count_fit_mle, fake_process_pools
 
 # ---------------------------------------------------------------------------
 # data generation
@@ -123,8 +125,9 @@ class TestRunMonteCarlo:
             assert report.mc_stderr[name] == pytest.approx(expected, rel=1e-12)
 
     def test_fit_failures_abort_when_frequent(self, monkeypatch):
+        # each replicate fits its data once, inside run_test
         calls = {"k": 0}
-        real_fit = simulation.fit_mle
+        real_fit = bootstrap.fit_mle
 
         def flaky_fit(data, spec):
             calls["k"] += 1
@@ -132,10 +135,26 @@ class TestRunMonteCarlo:
                 raise DegenerateFitError("synthetic failure")
             return real_fit(data, spec)
 
-        monkeypatch.setattr(simulation, "fit_mle", flaky_fit)
+        monkeypatch.setattr(bootstrap, "fit_mle", flaky_fit)
         cfg = BootstrapConfig(n_boot=50, alpha=0.05, seed=43)
         with pytest.raises(ExclusionLimitError):
             run_monte_carlo(1, 40, 6, cfg)
+
+    def test_fits_each_replicate_once(self, monkeypatch):
+        calls = count_fit_mle(monkeypatch)
+        cfg = BootstrapConfig(n_boot=20, alpha=0.05, seed=45)
+        run_monte_carlo(4, 40, 5, cfg)
+        assert calls == [40] * 5
+
+    def test_worker_processes_capped_at_cpu_count(self, monkeypatch):
+        cfg = BootstrapConfig(n_boot=20, alpha=0.05, seed=46)
+        serial = run_monte_carlo(1, 40, 6, cfg)
+        pools = fake_process_pools(monkeypatch, simulation, cpus=2)
+        assert run_monte_carlo(1, 40, 6, cfg, threads=64) == serial
+        assert pools == [2]
+        pools = fake_process_pools(monkeypatch, simulation, cpus=None)
+        assert run_monte_carlo(1, 40, 6, cfg, threads=64) == serial
+        assert pools == []  # unknown CPU count: one worker, no pool
 
     def test_reps_validation(self):
         cfg = BootstrapConfig(n_boot=50, alpha=0.05, seed=44)

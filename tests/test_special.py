@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gofboot import chi_squared_cdf, trigamma
+import scipy.special
+
+from gofboot import chi_squared_cdf, chi_squared_sf, trigamma
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -130,6 +132,9 @@ class TestChiSquaredCdf:
         assert chi_squared_cdf(x, df) == pytest.approx(
             chi2_cdf_quadrature(x, df), abs=1e-10
         )
+        assert chi_squared_sf(x, df) + chi_squared_cdf(x, df) == pytest.approx(
+            1.0, abs=1e-15
+        )
 
     @pytest.mark.parametrize("df", [1, 2, 5, 20])
     def test_monotone_nondecreasing_in_x(self, df):
@@ -150,3 +155,28 @@ class TestChiSquaredCdf:
     def test_domain_errors(self, x, df):
         with pytest.raises(ValueError):
             chi_squared_cdf(x, df)
+
+
+class TestChiSquaredSf:
+    def test_df_two_far_tail_is_exp(self):
+        # 1 - cdf cancels to 0.0 here; the tail is exp(-x/2) exactly
+        assert 1.0 - chi_squared_cdf(80.0, 2) == 0.0
+        assert chi_squared_sf(80.0, 2) == pytest.approx(math.exp(-40.0), rel=1e-12)
+
+    def test_far_tail_matches_scipy(self):
+        assert chi_squared_sf(200.0, 5) == pytest.approx(
+            scipy.special.chdtrc(5, 200.0), rel=1e-10
+        )
+
+    @pytest.mark.parametrize("df", [1, 2, 5, 20])
+    def test_equals_one_minus_cdf_below_df_plus_one(self, df):
+        for x in np.linspace(0.0, df + 1.0, 50, endpoint=False):
+            assert chi_squared_sf(x, df) == 1.0 - chi_squared_cdf(x, df)
+
+    @pytest.mark.parametrize(
+        "x,df",
+        [(-1.0, 2), (math.nan, 2), (math.inf, 2), (1.0, 0), (1.0, 2.5), (1.0, True)],
+    )
+    def test_domain_errors(self, x, df):
+        with pytest.raises(ValueError):
+            chi_squared_sf(x, df)
