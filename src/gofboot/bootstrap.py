@@ -14,12 +14,16 @@ parallelism.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+# numpy loads np.random on first use; every test and simulate run needs it,
+# so its import belongs to the import of this module, not to the first run
+from numpy.random import Generator, Philox
 
 from .errors import RedrawLimitError
 from .regression import (
@@ -180,7 +184,7 @@ def run_test(
             for a, b in zip(bounds[:-1], bounds[1:])
             if a < b
         ]
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+        with concurrent.futures.ProcessPoolExecutor(len(payloads)) as pool:
             for start, values, redraws in pool.map(_chunk_worker, payloads):
                 boot_values[start : start + values.size] = values
                 redraw_count += redraws
@@ -215,7 +219,7 @@ def _stream_positioner(seed: int):
     32-bit half. That is ``jumped(b)``, at about a fifth of the cost of
     building a new generator.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = Generator(Philox(key=seed))
     fresh = rng.bit_generator.state
     counter = fresh["state"]["counter"]
 
@@ -245,13 +249,18 @@ def _resample_var_gof(
     rng: np.random.Generator,
     max_redraws: int,
     var_bound: float,
+    Xb: np.ndarray,
+    yb: np.ndarray,
 ) -> tuple[float, int]:
+    # Xb and yb are the caller's buffers, reused by every iteration: a fresh
+    # X[idx] past glibc's mmap threshold is mapped and faulted in each time.
+    # "clip" lets np.take write to out unbuffered; every index is in range.
     n, r = X.shape
     redraws = 0
     while True:
         idx = rng.integers(0, n, size=n)
-        Xb = X[idx]
-        yb = y[idx]
+        np.take(X, idx, axis=0, out=Xb, mode="clip")
+        np.take(y, idx, out=yb, mode="clip")
         beta, residuals, rank = least_squares(Xb, yb)
         if rank == r:
             sigma2 = float(residuals @ residuals) / n
@@ -272,9 +281,13 @@ def _chunk_worker(payload) -> tuple[int, np.ndarray, int]:
     seek = _stream_positioner(seed)
     var_bound = _variance_bound(y)
     values = np.empty(stop - start)
+    Xb = np.empty_like(X)
+    yb = np.empty_like(y)
     redraws_total = 0
     for b in range(start, stop):
-        value, redraws = _resample_var_gof(X, y, seek(b), max_redraws, var_bound)
+        value, redraws = _resample_var_gof(
+            X, y, seek(b), max_redraws, var_bound, Xb, yb
+        )
         values[b - start] = value
         redraws_total += redraws
     return start, values, redraws_total

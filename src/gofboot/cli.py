@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import secrets
 import sys
 from pathlib import Path
@@ -73,7 +74,7 @@ def ingest_csv(path) -> Dataset:
                         f"{path}: line {line}: column {name!r}: "
                         f"not a number: {cell!r}"
                     ) from None
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise DataFormatError(
                         f"{path}: line {line}: column {name!r}: "
                         f"non-finite value {cell!r}"

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
+from ._lapack import dgelsy as _gelsy
+from ._lapack import dgelsy_lwork as _gelsy_lwork
 from .errors import (
     DegenerateFitError,
     InsufficientDataError,
@@ -33,8 +34,6 @@ DEGENERATE_TOLERANCE = 1e-12
 
 # Near-singular limit on the condition number of the equilibrated design Gram.
 CONDITION_LIMIT = 1e12
-
-_gelsy, _gelsy_lwork = get_lapack_funcs(("gelsy", "gelsy_lwork"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -178,30 +177,38 @@ def least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     cond=RANK_TOLERANCE, lapack_driver="gelsy")`` passes it, so the results
     are bit for bit those of that call, without its per-call validation
     and workspace query.
+
+    X and y are copied into Fortran-order buffers kept per shape, which
+    gelsy overwrites, so a solve allocates nothing of the size of X. That
+    makes this function not reentrant across threads; gofboot runs in
+    parallel only in separate processes.
     """
     m, r = X.shape
-    b = y
-    if m < r:
-        # gelsy writes the r-row solution into b
-        b = np.zeros(r)
-        b[:m] = y
+    a, b, pivots, lwork = _gelsy_buffers(m, r)
+    a[...] = X
+    # gelsy reads the first m rows of b and writes the r-row solution there
+    b[:m] = y
+    pivots.fill(0)
     _, x, _, rank, info = _gelsy(
-        X, b, np.zeros(r, dtype=np.int32), RANK_TOLERANCE, _workspace(m, r),
-        overwrite_a=False, overwrite_b=False,
+        a, b, pivots, RANK_TOLERANCE, lwork, overwrite_a=True, overwrite_b=True
     )
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gelsy")
-    beta = x[:r]
+    beta = x[:r].copy()
     return beta, y - X @ beta, rank
 
 
-@lru_cache(maxsize=64)
-def _workspace(m: int, r: int) -> int:
+# a run solves at a few shapes: the data, and the White and Breusch-Pagan designs
+@lru_cache(maxsize=8)
+def _gelsy_buffers(m: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     # the optimal lwork for one right-hand side, as scipy.linalg.lstsq takes it
     work, info = _gelsy_lwork(m, r, 1, RANK_TOLERANCE)
     if info != 0:
         raise ValueError(f"gelsy workspace query failed: {info}")
-    return int(work)
+    a = np.empty((m, r), order="F")
+    b = np.zeros(max(m, r))
+    pivots = np.empty(r, dtype=np.int32)
+    return a, b, pivots, int(work)
 
 
 def fit_mle(data: Dataset, spec: ModelSpec) -> FittedModel:

@@ -18,9 +18,9 @@ stream, so reports are reproducible and independent of parallelism.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,7 +165,7 @@ def run_monte_carlo(
             for a, b in zip(bounds[:-1], bounds[1:])
             if a < b
         ]
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+        with concurrent.futures.ProcessPoolExecutor(len(payloads)) as pool:
             chunks = list(pool.map(_replicate_chunk, payloads))
 
     for start, rej_b, rej_w, rej_p, excl in chunks:

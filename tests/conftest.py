@@ -1,5 +1,6 @@
 """Shared fixtures: small worked examples and random regression problems."""
 
+import concurrent.futures
 import os
 import sys
 
@@ -112,15 +113,15 @@ class _InlinePool:
         return map(fn, iterable)
 
 
-def fake_process_pools(monkeypatch, module, cpus):
-    """Make ``module`` see ``cpus`` CPUs and record each pool's max_workers.
+def fake_process_pools(monkeypatch, cpus):
+    """Make gofboot see ``cpus`` CPUs and record each pool's max_workers.
 
     No process is started: the pools run their work inline.
     """
     record = []
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(
-        module,
+        concurrent.futures,
         "ProcessPoolExecutor",
         lambda max_workers: _InlinePool(record, max_workers),
     )

@@ -19,7 +19,6 @@ from gofboot import (
     theoretical_var_gof,
     var_gof,
 )
-import gofboot.bootstrap as bootstrap
 from gofboot.bootstrap import _chunk_worker, _stream_positioner, _variance_bound
 from gofboot.regression import build_design
 from conftest import fake_process_pools, scenario1_dataset
@@ -233,11 +232,11 @@ class TestRunTest:
 
     def test_worker_processes_capped_at_cpu_count(self, small_case, monkeypatch):
         data, spec, cfg, result = small_case
-        pools = fake_process_pools(monkeypatch, bootstrap, cpus=2)
+        pools = fake_process_pools(monkeypatch, cpus=2)
         capped = run_test(data, spec, cfg, threads=64)
         assert pools == [2]
         assert np.array_equal(capped.boot_values, result.boot_values)
-        pools = fake_process_pools(monkeypatch, bootstrap, cpus=1)
+        pools = fake_process_pools(monkeypatch, cpus=1)
         assert np.array_equal(
             run_test(data, spec, cfg, threads=64).boot_values, result.boot_values
         )

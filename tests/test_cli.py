@@ -74,6 +74,8 @@ class TestIngestCsv:
             ("a,b\n1,zap\n", "column 'b': not a number: 'zap'"),
             ("a,b\n1,nan\n", "column 'b': non-finite"),
             ("a,b\n1,inf\n", "column 'b': non-finite"),
+            ("a,b\n1,-inf\n", "column 'b': non-finite"),
+            ("a,b\n1,1e999\n", "column 'b': non-finite"),
             ("a,b\n", "no data rows"),
         ],
     )

@@ -261,3 +261,25 @@ class TestLeastSquaresKernel:
         assert np.array_equal(beta, expected)
         assert np.array_equal(residuals, y - X @ expected)
         assert got_rank == expected_rank == rank
+
+    def test_fit_is_not_a_view_of_reused_buffers(self):
+        data, spec = random_regression(seed=17, n=30, r=3)
+        model = fit_mle(data, spec)
+        beta, residuals = model.beta_hat.copy(), model.residuals.copy()
+        rng = np.random.default_rng(18)
+        for _ in range(3):
+            least_squares(rng.standard_normal((30, 3)), rng.standard_normal(30))
+        assert np.array_equal(model.beta_hat, beta)
+        assert np.array_equal(model.residuals, residuals)
+
+    def test_repeated_wide_solves_each_equal_scipy_gelsy(self):
+        # the solution of one 3x6 solve stays in the rows of b past y
+        rng = np.random.default_rng(19)
+        for _ in range(3):
+            X, y = rng.standard_normal((3, 6)), rng.standard_normal(3)
+            beta, _, rank = least_squares(X, y)
+            expected, _, expected_rank, _ = lstsq(
+                X, y, cond=RANK_TOLERANCE, lapack_driver="gelsy"
+            )
+            assert np.array_equal(beta, expected)
+            assert rank == expected_rank

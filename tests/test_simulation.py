@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import gofboot.bootstrap as bootstrap
-import gofboot.simulation as simulation
 from gofboot import (
     BootstrapConfig,
     DegenerateFitError,
@@ -149,10 +148,10 @@ class TestRunMonteCarlo:
     def test_worker_processes_capped_at_cpu_count(self, monkeypatch):
         cfg = BootstrapConfig(n_boot=20, alpha=0.05, seed=46)
         serial = run_monte_carlo(1, 40, 6, cfg)
-        pools = fake_process_pools(monkeypatch, simulation, cpus=2)
+        pools = fake_process_pools(monkeypatch, cpus=2)
         assert run_monte_carlo(1, 40, 6, cfg, threads=64) == serial
         assert pools == [2]
-        pools = fake_process_pools(monkeypatch, simulation, cpus=None)
+        pools = fake_process_pools(monkeypatch, cpus=None)
         assert run_monte_carlo(1, 40, 6, cfg, threads=64) == serial
         assert pools == []  # unknown CPU count: one worker, no pool
 
