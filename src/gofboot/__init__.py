@@ -18,7 +18,6 @@ from .bootstrap import (
     GofTestResult,
     iteration_stream,
     percentile_interval,
-    resample,
     run_test,
 )
 from .diagnostics import AuxTestResult, breusch_pagan, white_test
@@ -49,15 +48,7 @@ from .simulation import (
     run_monte_carlo,
 )
 from .special import chi_squared_cdf, chi_squared_sf, trigamma
-from .variance import (
-    SandwichEstimate,
-    exact_var_gof,
-    observed_information,
-    sandwich,
-    score_components,
-    theoretical_var_gof,
-    var_gof,
-)
+from .variance import exact_var_gof, theoretical_var_gof, var_gof
 
 __version__ = "0.1.0"
 
@@ -76,7 +67,6 @@ __all__ = [
     "RankDeficientError",
     "RedrawLimitError",
     "ScenarioSpec",
-    "SandwichEstimate",
     "SimReport",
     "SingularInformationError",
     "aic",
@@ -90,13 +80,9 @@ __all__ = [
     "generate",
     "gof_term",
     "iteration_stream",
-    "observed_information",
     "percentile_interval",
-    "resample",
     "run_monte_carlo",
     "run_test",
-    "sandwich",
-    "score_components",
     "theoretical_var_gof",
     "trigamma",
     "var_gof",

@@ -41,7 +41,6 @@ __all__ = [
     "BootstrapConfig",
     "GofTestResult",
     "iteration_stream",
-    "resample",
     "percentile_interval",
     "run_test",
 ]
@@ -123,12 +122,6 @@ def iteration_stream(seed: int, iteration: int) -> np.random.Generator:
     return _stream_positioner(seed)(iteration)
 
 
-def resample(data: Dataset, rng: np.random.Generator) -> Dataset:
-    """Case resample: draw n whole rows with replacement."""
-    indices = rng.integers(0, data.n, size=data.n)
-    return data.take_rows(indices)
-
-
 def percentile_interval(
     boot_values: np.ndarray, alpha: float
 ) -> tuple[float, float]:
@@ -169,25 +162,11 @@ def run_test(
     X, y = build_design(data, spec)
     var_observed = var_gof(model.residuals, model.sigma2_hat)
 
-    b_total = cfg.n_boot
-    boot_values = np.empty(b_total)
-    redraw_count = 0
-    workers = min(threads, b_total, os.cpu_count() or 1)
-    if workers <= 1:
-        _, boot_values, redraw_count = _chunk_worker(
-            (X, y, cfg.seed, 0, b_total, cfg.max_redraws)
-        )
-    else:
-        bounds = np.linspace(0, b_total, workers + 1).astype(int)
-        payloads = [
-            (X, y, cfg.seed, int(a), int(b), cfg.max_redraws)
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if a < b
-        ]
-        with concurrent.futures.ProcessPoolExecutor(len(payloads)) as pool:
-            for start, values, redraws in pool.map(_chunk_worker, payloads):
-                boot_values[start : start + values.size] = values
-                redraw_count += redraws
+    chunks = map_chunks(
+        _chunk_worker, cfg.n_boot, threads, (X, y, cfg.seed, cfg.max_redraws)
+    )
+    boot_values = np.concatenate([values for values, _ in chunks])
+    redraw_count = sum(redraws for _, redraws in chunks)
 
     interval_low, interval_high = percentile_interval(boot_values, cfg.alpha)
     reference = theoretical_var_gof(data.n)
@@ -202,6 +181,23 @@ def run_test(
         redraw_count=redraw_count,
         model=model,
     )
+
+
+def map_chunks(worker, total: int, threads: int, args: tuple) -> list:
+    """Run ``worker((*args, start, stop))`` over chunks that cover [0, total).
+
+    Uses ``min(threads, total, os.cpu_count())`` worker processes and runs
+    inline when that is one. The chunks are contiguous and non-empty, since
+    there are at most ``total`` of them; the results come back in chunk
+    order.
+    """
+    workers = min(threads, total, os.cpu_count() or 1)
+    if workers <= 1:
+        return [worker((*args, 0, total))]
+    bounds = np.linspace(0, total, workers + 1).astype(int)
+    payloads = [(*args, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+        return list(pool.map(worker, payloads))
 
 
 def _order_index(count: int, q: float) -> int:
@@ -276,8 +272,8 @@ def _resample_var_gof(
             )
 
 
-def _chunk_worker(payload) -> tuple[int, np.ndarray, int]:
-    X, y, seed, start, stop, max_redraws = payload
+def _chunk_worker(payload) -> tuple[np.ndarray, int]:
+    X, y, seed, max_redraws, start, stop = payload
     seek = _stream_positioner(seed)
     var_bound = _variance_bound(y)
     values = np.empty(stop - start)
@@ -290,4 +286,4 @@ def _chunk_worker(payload) -> tuple[int, np.ndarray, int]:
         )
         values[b - start] = value
         redraws_total += redraws
-    return start, values, redraws_total
+    return values, redraws_total

@@ -45,7 +45,7 @@ def ingest_csv(path) -> Dataset:
     """
     path = Path(path)
     with path.open(newline="") as handle:
-        reader = csv.reader(handle)
+        reader = _csv_rows(path, csv.reader(handle))
         try:
             header = next(reader)
         except StopIteration:
@@ -85,6 +85,15 @@ def ingest_csv(path) -> Dataset:
     return Dataset({name: np.array(col) for name, col in zip(names, columns)})
 
 
+def _csv_rows(path, reader):
+    # the csv module's own errors, such as a cell over its field size limit,
+    # become diagnostics that cite the line the reader stopped on
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -93,7 +102,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GofbootError, OSError, ValueError) as exc:
+    except (GofbootError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

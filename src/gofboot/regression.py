@@ -80,10 +80,6 @@ class Dataset:
         """Number of rows."""
         return next(iter(self.columns.values())).size
 
-    def take_rows(self, indices: np.ndarray) -> "Dataset":
-        """Return a new dataset formed from whole rows at ``indices``."""
-        return Dataset({name: col[indices] for name, col in self.columns.items()})
-
 
 @dataclass(frozen=True)
 class ModelSpec:

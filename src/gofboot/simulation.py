@@ -18,13 +18,14 @@ stream, so reports are reproducible and independent of parallelism.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+# map_chunks is reached through its module: perfbench/tracer.py wraps the
+# functions bound across modules, and would bill a replicate to bootstrap
+from . import bootstrap
 from .bootstrap import BootstrapConfig, run_test
 from .diagnostics import breusch_pagan, white_test
 from .errors import (
@@ -150,31 +151,10 @@ def run_monte_carlo(
         raise ValueError(f"reps must be positive, got {reps}")
     ScenarioSpec(scenario, n)  # validate early
 
-    boot_reject = np.zeros(reps, dtype=bool)
-    white_reject = np.zeros(reps, dtype=bool)
-    bp_reject = np.zeros(reps, dtype=bool)
-    excluded = np.zeros(reps, dtype=bool)
-
-    workers = min(threads, reps, os.cpu_count() or 1)
-    if workers <= 1:
-        chunks = [_replicate_chunk((scenario, n, cfg, 0, reps))]
-    else:
-        bounds = np.linspace(0, reps, workers + 1).astype(int)
-        payloads = [
-            (scenario, n, cfg, int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if a < b
-        ]
-        with concurrent.futures.ProcessPoolExecutor(len(payloads)) as pool:
-            chunks = list(pool.map(_replicate_chunk, payloads))
-
-    for start, rej_b, rej_w, rej_p, excl in chunks:
-        stop = start + rej_b.size
-        boot_reject[start:stop] = rej_b
-        white_reject[start:stop] = rej_w
-        bp_reject[start:stop] = rej_p
-        excluded[start:stop] = excl
-
+    flags = np.concatenate(
+        bootstrap.map_chunks(_replicate_chunk, reps, threads, (scenario, n, cfg))
+    )
+    excluded = flags[:, 3]
     n_excluded = int(excluded.sum())
     if n_excluded / reps >= EXCLUSION_LIMIT:
         raise ExclusionLimitError(
@@ -184,12 +164,8 @@ def run_monte_carlo(
     n_used = int(included.sum())
     rates = {}
     stderr = {}
-    for name, flags in (
-        ("bootstrap", boot_reject),
-        ("white", white_reject),
-        ("breusch_pagan", bp_reject),
-    ):
-        p = float(flags[included].sum()) / n_used
+    for column, name in enumerate(("bootstrap", "white", "breusch_pagan")):
+        p = float(flags[included, column].sum()) / n_used
         rates[name] = p
         stderr[name] = math.sqrt(p * (1.0 - p) / n_used)
     return SimReport(
@@ -217,14 +193,12 @@ def _replicate_streams(master_seed: int, j: int) -> tuple[np.random.Generator, i
     return data_rng, boot_seed
 
 
-def _replicate_chunk(payload):
+def _replicate_chunk(payload) -> np.ndarray:
+    # one row per replicate j in [start, stop): the bootstrap, White and
+    # Breusch-Pagan rejections, then whether the replicate was excluded
     scenario, n, cfg, start, stop = payload
     spec = fitted_spec_for(scenario)
-    size = stop - start
-    rej_b = np.zeros(size, dtype=bool)
-    rej_w = np.zeros(size, dtype=bool)
-    rej_p = np.zeros(size, dtype=bool)
-    excl = np.zeros(size, dtype=bool)
+    flags = np.zeros((stop - start, 4), dtype=bool)
     for j in range(start, stop):
         data_rng, boot_seed = _replicate_streams(cfg.seed, j)
         data = generate(ScenarioSpec(scenario, n), data_rng)
@@ -234,12 +208,12 @@ def _replicate_chunk(payload):
             seed=boot_seed,
             max_redraws=cfg.max_redraws,
         )
-        k = j - start
+        row = flags[j - start]
         try:
             result = run_test(data, spec, rep_cfg)
-            rej_b[k] = result.reject
-            rej_w[k] = white_test(result.model, data).reject_at(cfg.alpha)
-            rej_p[k] = breusch_pagan(result.model, data).reject_at(cfg.alpha)
+            row[0] = result.reject
+            row[1] = white_test(result.model, data).reject_at(cfg.alpha)
+            row[2] = breusch_pagan(result.model, data).reject_at(cfg.alpha)
         except _FIT_ERRORS:
-            excl[k] = True
-    return start, rej_b, rej_w, rej_p, excl
+            row[3] = True
+    return flags

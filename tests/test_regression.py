@@ -20,6 +20,7 @@ from gofboot import (
 )
 from gofboot.regression import RANK_TOLERANCE, least_squares
 from conftest import random_regression, scenario1_dataset
+from oracle import take_rows
 
 # ---------------------------------------------------------------------------
 # worked example
@@ -133,7 +134,7 @@ class TestFitInvariants:
         data, spec = random_regression(seed)
         rng = np.random.default_rng(seed + 1000)
         perm = rng.permutation(data.n)
-        permuted = data.take_rows(perm)
+        permuted = take_rows(data, perm)
         a = fit_mle(data, spec)
         b = fit_mle(permuted, spec)
         assert a.beta_hat == pytest.approx(b.beta_hat, rel=1e-10)

@@ -17,15 +17,13 @@ from gofboot import (
     SingularInformationError,
     exact_var_gof,
     fit_mle,
-    observed_information,
-    sandwich,
-    score_components,
     theoretical_var_gof,
     trigamma,
     var_gof,
 )
 from gofboot.regression import build_design
 from conftest import INVARIANT_TRANSFORMS, random_regression, scenario1_dataset
+from oracle import observed_information, sandwich, score_components
 
 # ---------------------------------------------------------------------------
 # oracles
