@@ -36,7 +36,7 @@ def ingest_csv(path) -> Dataset:
 
     Every row must have exactly as many fields as the header, and every
     cell must parse as a finite float. Diagnostics cite the 1-based file
-    line number and the offending column.
+    line on which the offending record ends, and the offending column.
 
     Raises
     ------
@@ -45,7 +45,8 @@ def ingest_csv(path) -> Dataset:
     """
     path = Path(path)
     with path.open(newline="") as handle:
-        reader = _csv_rows(path, csv.reader(handle))
+        records = csv.reader(handle)
+        reader = _csv_rows(path, records)
         try:
             header = next(reader)
         except StopIteration:
@@ -59,28 +60,29 @@ def ingest_csv(path) -> Dataset:
                 raise DataFormatError(f"{path}: line 1: duplicate column {name!r}")
             seen.add(name)
         columns = [[] for _ in names]
-        line = 1
+        rows = 0
         for row in reader:
-            line += 1
+            rows += 1
             if len(row) != len(names):
                 raise DataFormatError(
-                    f"{path}: line {line}: expected {len(names)} fields, got {len(row)}"
+                    f"{path}: line {records.line_num}: "
+                    f"expected {len(names)} fields, got {len(row)}"
                 )
             for name, cell, store in zip(names, row, columns):
                 try:
                     value = float(cell)
                 except ValueError:
                     raise DataFormatError(
-                        f"{path}: line {line}: column {name!r}: "
+                        f"{path}: line {records.line_num}: column {name!r}: "
                         f"not a number: {cell!r}"
                     ) from None
                 if not math.isfinite(value):
                     raise DataFormatError(
-                        f"{path}: line {line}: column {name!r}: "
+                        f"{path}: line {records.line_num}: column {name!r}: "
                         f"non-finite value {cell!r}"
                     )
                 store.append(value)
-        if line == 1:
+        if rows == 0:
             raise DataFormatError(f"{path}: no data rows")
     return Dataset({name: np.array(col) for name, col in zip(names, columns)})
 

@@ -19,10 +19,6 @@ from .special import chi_squared_sf
 
 __all__ = ["AuxTestResult", "breusch_pagan", "white_test"]
 
-# Columns whose residual norm falls below this fraction of their own norm
-# after projection on the kept columns are dropped as collinear.
-COLLINEARITY_TOLERANCE = 1e-8
-
 
 @dataclass(frozen=True)
 class AuxTestResult:
@@ -33,7 +29,7 @@ class AuxTestResult:
     statistic : float
         n R**2 from the auxiliary regression, in [0, n].
     df : int
-        Non-intercept regressors in the auxiliary design.
+        Rank of the auxiliary design, intercept included, minus one.
     p_value : float
         Upper tail of the chi-squared distribution with ``df`` degrees of
         freedom at ``statistic``.
@@ -53,8 +49,8 @@ class AuxTestResult:
 def breusch_pagan(model: FittedModel, data: Dataset) -> AuxTestResult:
     """Breusch-Pagan test in the studentized n R**2 form.
 
-    Regresses squared residuals on the model's own covariates plus an
-    intercept.
+    Regresses squared residuals on the model's own covariates, centered,
+    plus an intercept.
 
     Raises
     ------
@@ -66,79 +62,64 @@ def breusch_pagan(model: FittedModel, data: Dataset) -> AuxTestResult:
     names = model.spec.covariates
     if not names:
         raise ValueError("Breusch-Pagan requires at least one covariate")
-    columns = [data.columns[c] for c in names]
-    aux = np.column_stack([np.ones(data.n), *columns])
-    return _nr2_test(model, aux)
+    result = _nr2_test(model, [_centered(data.columns[c]) for c in names])
+    if result.df < len(names):
+        raise RankDeficientError(
+            f"auxiliary design has rank {result.df + 1}, expected {len(names) + 1}",
+            rank=result.df + 1,
+        )
+    return result
 
 
 def white_test(model: FittedModel, data: Dataset) -> AuxTestResult:
     """White test with squares and pairwise products of the covariates.
 
-    The auxiliary design holds the covariates, their squares, and their
-    pairwise products, after dropping duplicated or collinear columns (a
-    binary covariate, for instance, equals its own square). Degrees of
-    freedom equal the surviving non-intercept column count.
+    The design holds the covariates, centered, their squares and their
+    pairwise products; centering keeps its span and stops a large offset
+    from making it collinear. Degrees of freedom are the rank of the design,
+    intercept included, minus one, so a column that adds nothing to the
+    span (the square of a binary covariate, say) does not count.
 
     Raises
     ------
     ValueError
         If the model has no non-intercept covariates.
     RankDeficientError
-        If no auxiliary column survives deduplication.
+        If the auxiliary design has rank one, with ``rank`` set to 0.
     """
     names = model.spec.covariates
     if not names:
         raise ValueError("White test requires at least one covariate")
-    base = [data.columns[c] for c in names]
-    candidates = list(base)
-    candidates.extend(col * col for col in base)
-    candidates.extend(base[i] * base[j] for i, j in combinations(range(len(base)), 2))
-
-    kept = _drop_collinear(np.ones(data.n), candidates)
-    if not kept:
-        raise RankDeficientError(
-            "no auxiliary regressor survives deduplication", rank=0
-        )
-    aux = np.column_stack([np.ones(data.n), *kept])
-    return _nr2_test(model, aux)
+    base = [_centered(data.columns[c]) for c in names]
+    regressors = list(base)
+    regressors.extend(col * col for col in base)
+    regressors.extend(base[i] * base[j] for i, j in combinations(range(len(base)), 2))
+    return _nr2_test(model, regressors)
 
 
-def _drop_collinear(intercept: np.ndarray, candidates: list[np.ndarray]):
-    """Greedy pass keeping candidates independent of those already kept."""
-    kept: list[np.ndarray] = []
-    basis = [intercept / np.linalg.norm(intercept)]
-    for col in candidates:
-        if any(np.array_equal(col, prev) for prev in kept):
-            continue
-        w = col.astype(np.float64, copy=True)
-        for q in basis:  # two Gram-Schmidt sweeps for numerical safety
-            w -= (q @ w) * q
-        for q in basis:
-            w -= (q @ w) * q
-        norm = np.linalg.norm(w)
-        if norm <= COLLINEARITY_TOLERANCE * np.linalg.norm(col):
-            continue
-        kept.append(col)
-        basis.append(w / norm)
-    return kept
+def _centered(col: np.ndarray) -> np.ndarray:
+    return col - col.mean()
 
 
-def _nr2_test(model: FittedModel, aux: np.ndarray) -> AuxTestResult:
-    n, cols = aux.shape
-    df = cols - 1
+def _nr2_test(model: FittedModel, regressors: list[np.ndarray]) -> AuxTestResult:
+    aux = np.column_stack([np.ones(model.n), *regressors])
+    # unit-norm columns make the rank decision independent of their units;
+    # an all-zero column stays zero and adds nothing to the rank
+    norms = np.linalg.norm(aux, axis=0)
+    norms[norms == 0.0] = 1.0
     z = model.residuals**2
-    # unit-norm columns make the rank decision independent of their units
-    _, residuals, rank = least_squares(aux / np.linalg.norm(aux, axis=0), z)
-    if rank < cols:
+    _, residuals, rank = least_squares(aux / norms, z)
+    df = rank - 1
+    if df == 0:
         raise RankDeficientError(
-            f"auxiliary design has rank {rank}, expected {cols}", rank=rank
+            "no auxiliary regressor is independent of the intercept", rank=0
         )
     tss = float(np.sum((z - z.mean()) ** 2))
     # z is constant within FP noise when its coefficient of variation is ~0
-    if tss <= 1e-24 * n * float(z.mean()) ** 2:
+    if tss <= 1e-24 * model.n * float(z.mean()) ** 2:
         r_squared = 0.0
     else:
         r_squared = max(0.0, min(1.0, 1.0 - float(residuals @ residuals) / tss))
-    statistic = n * r_squared
+    statistic = model.n * r_squared
     p_value = chi_squared_sf(statistic, df)
     return AuxTestResult(statistic=statistic, df=df, p_value=p_value)

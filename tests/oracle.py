@@ -3,7 +3,10 @@
 The package computes var_gof in closed form and gathers bootstrap rows
 itself. These are the routes it no longer takes: the full sandwich matrix
 n * I_n^{-1} (sum_i U_i U_i') I_n^{-1} at theta = (beta, sigma2), and a
-case resample built from whole dataset rows.
+case resample built from whole dataset rows. The White and Breusch-Pagan
+statistics are checked against statsmodels' definitions, computed here by
+SVD on uncentered designs rather than by the package's pivoted QR on
+centered ones.
 """
 
 from dataclasses import dataclass
@@ -60,6 +63,28 @@ def take_rows(data, indices):
 def resample(data, rng):
     """Case resample: draw n whole rows with replacement."""
     return take_rows(data, rng.integers(0, data.n, size=data.n))
+
+
+def het_reference(data, spec):
+    """(statistic, df) of White's and the Breusch-Pagan test, by name.
+
+    Follows statsmodels' het_white and het_breuschpagan: with X = [1, x],
+    White's auxiliary design holds every product X_j X_k, j <= k, uncentered
+    and with no column dropped, and Breusch-Pagan's is X itself. Each test
+    is n R**2 of the squared OLS residuals on its design, with df the
+    numerical rank of that design minus one.
+    """
+    X, y = build_design(data, spec)
+    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+    z = (y - X @ coef) ** 2
+    j, k = np.triu_indices(X.shape[1])
+    results = {}
+    for name, aux in (("white", X[:, j] * X[:, k]), ("breusch_pagan", X)):
+        coef, *_ = np.linalg.lstsq(aux, z, rcond=None)
+        rss = float(np.sum((z - aux @ coef) ** 2))
+        tss = float(np.sum((z - z.mean()) ** 2))
+        results[name] = (z.size * (1.0 - rss / tss), np.linalg.matrix_rank(aux) - 1)
+    return results
 
 
 def _score_matrix(X, residuals, sigma2):

@@ -72,6 +72,7 @@ class TestIngestCsv:
             ("a,b\n1\n", "line 2: expected 2 fields, got 1"),
             ("a,b\n1,2\n3,4,5\n", "line 3: expected 2 fields, got 3"),
             ("a,b\n1,zap\n", "column 'b': not a number: 'zap'"),
+            ('a,b\n"1\n",2\n3,zap\n', "line 4: column 'b': not a number: 'zap'"),
             ("a,b\n1,nan\n", "column 'b': non-finite"),
             ("a,b\n1,inf\n", "column 'b': non-finite"),
             ("a,b\n1,-inf\n", "column 'b': non-finite"),

@@ -13,6 +13,7 @@ from gofboot import (
 )
 from gofboot.simulation import ScenarioSpec, fitted_spec_for, generate
 from conftest import INVARIANT_TRANSFORMS, scenario1_dataset
+from oracle import het_reference
 
 # ---------------------------------------------------------------------------
 # auxiliary design construction
@@ -155,6 +156,19 @@ class TestDegenerateDesigns:
         with pytest.raises(RankDeficientError):
             breusch_pagan(model, data)
 
+    def test_white_counts_columns_beside_a_constant_covariate(self):
+        # the centered constant and its products are all-zero columns, which
+        # add nothing to the rank; x and x^2 still count
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal(30)
+        y = x + (1.0 + x**2) * rng.standard_normal(30)
+        data = Dataset({"c": np.full(30, 2.0), "x": x, "y": y})
+        spec = ModelSpec(response="y", covariates=("c", "x"), intercept=False)
+        result = white_test(fit_mle(data, spec), data)
+        statistic, df = het_reference(data, spec)["white"]
+        assert result.df == df == 2
+        assert result.statistic == pytest.approx(statistic, rel=1e-8)
+
     def test_white_with_no_surviving_regressors(self):
         rng = np.random.default_rng(17)
         data = Dataset(
@@ -171,6 +185,40 @@ class TestDegenerateDesigns:
 # ---------------------------------------------------------------------------
 # agreement with an independent implementation
 # ---------------------------------------------------------------------------
+
+
+def reference_case(kind, seed):
+    """Scenario data, or a design whose White columns are collinear."""
+    rng = np.random.default_rng(seed)
+    if kind == "binary":  # x^2 == x
+        x = rng.integers(0, 2, size=80).astype(float)
+        y = 2.0 + 3.0 * x + (1.0 + x) * rng.standard_normal(80)
+        return Dataset({"x": x, "y": y}), ModelSpec(response="y", covariates=("x",))
+    if kind == "exclusive-dummies":  # d1 d2 == 0
+        level = rng.integers(0, 3, size=90)
+        d1, d2 = (level == 1).astype(float), (level == 2).astype(float)
+        y = 1.0 + d1 - d2 + (1.0 + d1) * rng.standard_normal(90)
+        data = Dataset({"d1": d1, "d2": d2, "y": y})
+        return data, ModelSpec(response="y", covariates=("d1", "d2"))
+    scenario = int(kind.removeprefix("scenario"))
+    return generate(ScenarioSpec(scenario, 120), rng), fitted_spec_for(scenario)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize(
+        "kind,seed",
+        [(f"scenario{s}", seed) for s in (1, 2, 3, 4) for seed in range(3)]
+        + [("binary", 9), ("exclusive-dummies", 11)],
+    )
+    def test_statistics_and_df_match(self, kind, seed):
+        data, spec = reference_case(kind, seed)
+        model = fit_mle(data, spec)
+        reference = het_reference(data, spec)
+        for name, test in (("white", white_test), ("breusch_pagan", breusch_pagan)):
+            statistic, df = reference[name]
+            result = test(model, data)
+            assert result.statistic == pytest.approx(statistic, rel=1e-8)
+            assert result.df == df
 
 
 class TestAgainstStatsmodels:
