@@ -8,11 +8,6 @@ covers 2n, its value under correct specification. Classical White and Breusch-Pa
 tests and a Monte Carlo harness are included for comparison studies.
 """
 
-# First, before anything imports numpy: loading LAPACK starts OpenBLAS's
-# worker thread, which spins for about 0.1 s of CPU. Loaded here, the spin
-# overlaps numpy's import, which the extension triggers; loaded after
-# numpy, it would run on top of the caller's first computation.
-from . import _lapack  # noqa: F401
 from .bootstrap import (
     BootstrapConfig,
     GofTestResult,

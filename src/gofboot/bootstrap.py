@@ -26,15 +26,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import RedrawLimitError
-from .regression import (
-    DEGENERATE_TOLERANCE,
-    Dataset,
-    FittedModel,
-    ModelSpec,
-    build_design,
-    fit_mle,
-    least_squares,
-)
+from .regression import CONDITION_LIMIT, Dataset, FittedModel, ModelSpec, fit_mle
 from .variance import theoretical_var_gof, var_gof
 
 __all__ = [
@@ -159,12 +151,10 @@ def run_test(
         If any iteration exceeds ``cfg.max_redraws`` discarded resamples.
     """
     model = fit_mle(data, spec)
-    X, y = build_design(data, spec)
     var_observed = var_gof(model.residuals, model.sigma2_hat)
 
-    chunks = map_chunks(
-        _chunk_worker, cfg.n_boot, threads, (X, y, cfg.seed, cfg.max_redraws)
-    )
+    payload = (_refit_rows(model), cfg.seed, cfg.max_redraws)
+    chunks = map_chunks(_chunk_worker, cfg.n_boot, threads, payload)
     boot_values = np.concatenate([values for values, _ in chunks])
     redraw_count = sum(redraws for _, redraws in chunks)
 
@@ -227,44 +217,46 @@ def _stream_positioner(seed: int):
     return seek
 
 
-def _variance_bound(y: np.ndarray) -> float:
-    """An upper bound on ``np.var(yb)`` for every resample ``yb`` of ``y``.
+def _refit_rows(model: FittedModel) -> np.ndarray:
+    """The rows ``[basis, e / |e|]`` that every resample refits in.
 
-    var(yb) <= mean((yb - c)**2) <= max((y - c)**2) for any center c. The
-    added square covers the rounding of np.var's own mean of yb, the
-    factor the rounding of its sums.
+    A resample of the data's rows is a resample of these rows: the basis
+    spans the design and y is its projection onto the basis plus e, so a
+    refit of y on a resample has the residuals of a refit of e.
     """
-    mean_error = y.size * np.finfo(np.float64).eps * float(np.max(np.abs(y)))
-    spread = float(np.max((y - y.mean()) ** 2))
-    return (spread + mean_error**2) * (1.0 + 1e-9)
+    e = model.residuals
+    return np.column_stack([model.basis, e / math.sqrt(float(e @ e))])
 
 
 def _resample_var_gof(
-    X: np.ndarray,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    max_redraws: int,
-    var_bound: float,
-    Xb: np.ndarray,
-    yb: np.ndarray,
+    rows: np.ndarray, rng: np.random.Generator, max_redraws: int, A: np.ndarray
 ) -> tuple[float, int]:
-    # Xb and yb are the caller's buffers, reused by every iteration: a fresh
-    # X[idx] past glibc's mmap threshold is mapped and faulted in each time.
+    """var_gof of one resample of ``rows``, redrawing until one is usable.
+
+    With A = [Q, a] the resampled rows, the last row of inv(A'A) is
+    [-gamma, 1] / RSS for gamma the least-squares coefficients of a on Q,
+    so A @ inv(A'A)[-1] is the refit's residual vector divided by RSS, a
+    scale var_gof ignores. A resample is redrawn when A'A is singular or
+    its Frobenius condition number exceeds ``CONDITION_LIMIT``: that one
+    rule discards both a rank-deficient design and an exact fit.
+    """
+    # A is the caller's buffer, reused by every iteration: a fresh rows[idx]
+    # past glibc's mmap threshold is mapped and faulted in each time.
     # "clip" lets np.take write to out unbuffered; every index is in range.
-    n, r = X.shape
+    n = rows.shape[0]
     redraws = 0
     while True:
         idx = rng.integers(0, n, size=n)
-        np.take(X, idx, axis=0, out=Xb, mode="clip")
-        np.take(y, idx, out=yb, mode="clip")
-        beta, residuals, rank = least_squares(Xb, yb)
-        if rank == r:
-            sigma2 = float(residuals @ residuals) / n
-            # var_bound >= np.var(yb), so passing on it passes on np.var(yb)
-            if sigma2 > DEGENERATE_TOLERANCE * var_bound or sigma2 > (
-                DEGENERATE_TOLERANCE * float(np.var(yb))
-            ):
-                return var_gof(residuals, sigma2), redraws
+        np.take(rows, idx, axis=0, out=A, mode="clip")
+        gram = A.T @ A
+        try:
+            inverse = np.linalg.inv(gram)
+        except np.linalg.LinAlgError:  # exactly singular
+            pass
+        else:
+            if np.vdot(gram, gram) * np.vdot(inverse, inverse) <= CONDITION_LIMIT**2:
+                residuals = A @ inverse[-1]
+                return var_gof(residuals, float(residuals @ residuals) / n), redraws
         redraws += 1
         if redraws > max_redraws:
             raise RedrawLimitError(
@@ -273,17 +265,13 @@ def _resample_var_gof(
 
 
 def _chunk_worker(payload) -> tuple[np.ndarray, int]:
-    X, y, seed, max_redraws, start, stop = payload
+    rows, seed, max_redraws, start, stop = payload
     seek = _stream_positioner(seed)
-    var_bound = _variance_bound(y)
     values = np.empty(stop - start)
-    Xb = np.empty_like(X)
-    yb = np.empty_like(y)
+    A = np.empty_like(rows)
     redraws_total = 0
     for b in range(start, stop):
-        value, redraws = _resample_var_gof(
-            X, y, seek(b), max_redraws, var_bound, Xb, yb
-        )
+        value, redraws = _resample_var_gof(rows, seek(b), max_redraws, A)
         values[b - start] = value
         redraws_total += redraws
     return values, redraws_total

@@ -103,12 +103,8 @@ def _centered(col: np.ndarray) -> np.ndarray:
 
 def _nr2_test(model: FittedModel, regressors: list[np.ndarray]) -> AuxTestResult:
     aux = np.column_stack([np.ones(model.n), *regressors])
-    # unit-norm columns make the rank decision independent of their units;
-    # an all-zero column stays zero and adds nothing to the rank
-    norms = np.linalg.norm(aux, axis=0)
-    norms[norms == 0.0] = 1.0
     z = model.residuals**2
-    _, residuals, rank = least_squares(aux / norms, z)
+    _, residuals, rank, _, _ = least_squares(aux, z)
     df = rank - 1
     if df == 0:
         raise RankDeficientError(

@@ -32,7 +32,7 @@ class DegenerateFitError(GofbootError):
 
 
 class SingularInformationError(GofbootError):
-    """The design is near singular: equilibrated Gram condition above 1e12."""
+    """The design is near singular: centered, unit-norm Gram condition above 1e12."""
 
 
 class RedrawLimitError(GofbootError):

@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from ._lapack import dgelsy as _gelsy
-from ._lapack import dgelsy_lwork as _gelsy_lwork
 from .errors import (
     DegenerateFitError,
     InsufficientDataError,
@@ -26,13 +23,13 @@ from .errors import (
 
 __all__ = ["Dataset", "ModelSpec", "FittedModel", "fit_mle", "gof_term", "aic", "bic"]
 
-# Relative tolerance for rank detection in the pivoted orthogonal solve.
+# Singular values at or below this multiple of the largest do not count to the rank.
 RANK_TOLERANCE = 1e-10
 
 # sigma2_hat below this multiple of Var(y) counts as a perfect fit.
 DEGENERATE_TOLERANCE = 1e-12
 
-# Near-singular limit on the condition number of the equilibrated design Gram.
+# Near-singular limit on the condition number of the unit-norm design's Gram.
 CONDITION_LIMIT = 1e12
 
 
@@ -132,6 +129,9 @@ class FittedModel:
         Maximized log-likelihood.
     spec : ModelSpec
         The specification that produced the design matrix.
+    basis : np.ndarray or None
+        Orthonormal basis of the design's column span, shape (n, r), from
+        the fit's own decomposition; the bootstrap refits in it.
     """
 
     beta_hat: np.ndarray
@@ -141,6 +141,7 @@ class FittedModel:
     r: int
     loglik: float
     spec: ModelSpec = field(repr=False)
+    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def build_design(data: Dataset, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -164,53 +165,40 @@ def build_design(data: Dataset, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray
     return X, y
 
 
-def least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Rank-revealing least-squares solve via column-pivoted QR.
+def least_squares(
+    X: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int, float, np.ndarray]:
+    """Least-squares solve by one thin SVD of X with unit-norm columns.
 
-    Returns (beta, residuals, rank). Never forms the normal equations;
-    rank is detected at relative tolerance ``RANK_TOLERANCE``. Calls LAPACK
-    ``dgelsy`` with the arguments ``scipy.linalg.lstsq(X, y,
-    cond=RANK_TOLERANCE, lapack_driver="gelsy")`` passes it, so the results
-    are bit for bit those of that call, without its per-call validation
-    and workspace query.
+    Returns (beta, residuals, rank, cond, basis). Two rules decide on the
+    scaled design, so neither changes with the units of a column:
 
-    X and y are copied into Fortran-order buffers kept per shape, which
-    gelsy overwrites, so a solve allocates nothing of the size of X. That
-    makes this function not reentrant across threads; gofboot runs in
-    parallel only in separate processes.
+    - rank counts the singular values above ``RANK_TOLERANCE`` times the
+      largest, and beta is the minimum-norm solution in the scaled columns;
+    - cond is (s_max / s_min)**2, the condition number of the scaled
+      design's Gram, infinite when s_min is zero.
+
+    ``basis`` holds the left singular vectors of the counted values, an
+    orthonormal basis of the span of X. An all-zero column stays zero and
+    adds nothing to the rank.
     """
-    m, r = X.shape
-    a, b, pivots, lwork = _gelsy_buffers(m, r)
-    a[...] = X
-    # gelsy reads the first m rows of b and writes the r-row solution there
-    b[:m] = y
-    pivots.fill(0)
-    _, x, _, rank, info = _gelsy(
-        a, b, pivots, RANK_TOLERANCE, lwork, overwrite_a=True, overwrite_b=True
-    )
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gelsy")
-    beta = x[:r].copy()
-    return beta, y - X @ beta, rank
-
-
-# a run solves at a few shapes: the data, and the White and Breusch-Pagan designs
-@lru_cache(maxsize=8)
-def _gelsy_buffers(m: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    # the optimal lwork for one right-hand side, as scipy.linalg.lstsq takes it
-    work, info = _gelsy_lwork(m, r, 1, RANK_TOLERANCE)
-    if info != 0:
-        raise ValueError(f"gelsy workspace query failed: {info}")
-    a = np.empty((m, r), order="F")
-    b = np.zeros(max(m, r))
-    pivots = np.empty(r, dtype=np.int32)
-    return a, b, pivots, int(work)
+    norms = np.linalg.norm(X, axis=0)
+    norms[norms == 0.0] = 1.0
+    u, s, vt = np.linalg.svd(X / norms, full_matrices=False)
+    rank = int(np.count_nonzero(s > RANK_TOLERANCE * s[0]))
+    cond = (s[0] / s[-1]) ** 2 if s[-1] > 0.0 else math.inf
+    basis = u[:, :rank]
+    beta = vt[:rank].T @ ((basis.T @ y) / s[:rank]) / norms
+    return beta, y - X @ beta, rank, float(cond), basis
 
 
 def fit_mle(data: Dataset, spec: ModelSpec) -> FittedModel:
     """Fit the normal linear model by maximum likelihood.
 
-    The variance estimate uses the MLE divisor n (not n - r).
+    The variance estimate uses the MLE divisor n (not n - r). With an
+    intercept the covariates are centered before the solve, and the
+    intercept is restored afterwards, so moving a covariate changes
+    neither rule below.
 
     Parameters
     ----------
@@ -226,12 +214,13 @@ def fit_mle(data: Dataset, spec: ModelSpec) -> FittedModel:
     InsufficientDataError
         If n <= r.
     RankDeficientError
-        If the design matrix is numerically rank deficient.
+        If the centered, unit-norm design has a singular value at or below
+        ``RANK_TOLERANCE`` (1e-10) times its largest.
     DegenerateFitError
         If the fit is perfect, sigma2_hat <= 1e-12 * Var(y).
     SingularInformationError
-        If D^{-1} X'X D^{-1}, D = sqrt(diag(X'X)), has condition number
-        above 1e12; unlike that of X'X, it does not change with units.
+        If the Gram of the centered, unit-norm design has condition number
+        above ``CONDITION_LIMIT`` (1e12).
     """
     X, y = build_design(data, spec)
     n, r = X.shape
@@ -239,7 +228,10 @@ def fit_mle(data: Dataset, spec: ModelSpec) -> FittedModel:
         raise InsufficientDataError(
             f"need more observations than parameters, got n={n} with r={r}"
         )
-    beta, residuals, rank = least_squares(X, y)
+    if spec.intercept:
+        shift = X[:, 1:].mean(axis=0)
+        X[:, 1:] -= shift
+    beta, residuals, rank, cond, basis = least_squares(X, y)
     if rank < r:
         raise RankDeficientError(
             f"design matrix has rank {rank}, expected {r}", rank=rank
@@ -249,14 +241,13 @@ def fit_mle(data: Dataset, spec: ModelSpec) -> FittedModel:
         raise DegenerateFitError(
             f"residual variance {sigma2:.3e} is zero within tolerance"
         )
-    gram = X.T @ X
-    scale = np.sqrt(np.diag(gram))
-    cond = np.linalg.cond(gram / np.outer(scale, scale))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    if not cond <= CONDITION_LIMIT:
         raise SingularInformationError(
-            f"equilibrated design Gram condition number {cond:.3e} exceeds "
+            f"centered, unit-norm design Gram condition number {cond:.3e} exceeds "
             f"{CONDITION_LIMIT:.0e}"
         )
+    if spec.intercept:
+        beta[0] -= shift @ beta[1:]
     loglik = -0.5 * n * (math.log(2.0 * math.pi) + 1.0 + math.log(sigma2))
     return FittedModel(
         beta_hat=beta,
@@ -266,6 +257,7 @@ def fit_mle(data: Dataset, spec: ModelSpec) -> FittedModel:
         r=r,
         loglik=loglik,
         spec=spec,
+        basis=basis,
     )
 
 

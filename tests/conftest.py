@@ -76,6 +76,7 @@ INVARIANT_TRANSFORMS = {
     "x1-to-1e6x1+3": lambda cols: {**cols, "x1": 1e6 * cols["x1"] + 3.0},
     "x2-to-1e3-0.5x2": lambda cols: {**cols, "x2": -0.5 * cols["x2"] + 1e3},
     "x1-to-x1+1e5": lambda cols: {**cols, "x1": cols["x1"] + 1e5},
+    "x1-to-x1+3e5": lambda cols: {**cols, "x1": cols["x1"] + 3e5},
     "row-permutation": _permute_rows,
 }
 

@@ -19,11 +19,10 @@ from gofboot import (
 )
 from gofboot.bootstrap import (
     _chunk_worker,
+    _refit_rows,
     _stream_positioner,
-    _variance_bound,
     map_chunks,
 )
-from gofboot.regression import build_design
 from conftest import fake_process_pools, scenario1_dataset
 from oracle import resample, sandwich
 
@@ -215,7 +214,9 @@ class TestRunTest:
         data, spec, cfg, result = small_case
         boot_data = resample(data, iteration_stream(cfg.seed, 0))
         model = fit_mle(boot_data, spec)
-        assert var_gof(model.residuals, model.sigma2_hat) == result.boot_values[0]
+        assert result.boot_values[0] == pytest.approx(
+            var_gof(model.residuals, model.sigma2_hat), rel=1e-12
+        )
         assert result.boot_values[0] == pytest.approx(
             sandwich(model, boot_data).var_gof, rel=1e-12
         )
@@ -225,7 +226,9 @@ class TestRunTest:
         assert result.redraw_count == 0
         for b, value in enumerate(result.boot_values):
             model = fit_mle(resample(data, iteration_stream(cfg.seed, b)), spec)
-            assert value == var_gof(model.residuals, model.sigma2_hat)
+            assert value == pytest.approx(
+                var_gof(model.residuals, model.sigma2_hat), rel=1e-12
+            )
 
     def test_result_carries_the_original_fit(self, small_case):
         data, spec, _, result = small_case
@@ -253,6 +256,15 @@ class TestRunTest:
         base, moved = run_test(data, spec, cfg), run_test(scaled, spec, cfg)
         assert moved.reject == base.reject
         assert moved.boot_values == pytest.approx(base.boot_values, rel=1e-12)
+
+    def test_invariant_to_moving_a_covariate(self):
+        # x1 + 3e5 rounds x1 to about 6e-11 of its spread, hence 1e-10
+        data, spec = scenario1_dataset(seed=1, n=500)
+        moved = Dataset({**data.columns, "x1": data.columns["x1"] + 3e5})
+        cfg = BootstrapConfig(n_boot=200, alpha=0.05, seed=3)
+        base, shifted = run_test(data, spec, cfg), run_test(moved, spec, cfg)
+        assert (shifted.reject, shifted.redraw_count) == (base.reject, base.redraw_count)
+        assert shifted.boot_values == pytest.approx(base.boot_values, rel=1e-10)
 
     def test_rejection_monotone_in_alpha(self):
         data, spec = scenario1_dataset(seed=33, n=60)
@@ -309,10 +321,10 @@ class TestChunkWorker:
         else:  # many resamples are constant and get redrawn
             data = Dataset({"y": np.array([0.0, 0.0, 1.0])})
             spec = ModelSpec(response="y", covariates=())
-        X, y = build_design(data, spec)
+        rows = _refit_rows(fit_mle(data, spec))
         bounds = [0, 1, 2, 9, 40, 97]
-        whole, redraws = _chunk_worker((X, y, 12, 100, 0, 97))
-        parts = [_chunk_worker((X, y, 12, 100, a, b)) for a, b in zip(bounds, bounds[1:])]
+        whole, redraws = _chunk_worker((rows, 12, 100, 0, 97))
+        parts = [_chunk_worker((rows, 12, 100, a, b)) for a, b in zip(bounds, bounds[1:])]
         assert [v.size for v, _ in parts] == np.diff(bounds).tolist()
         assert np.array_equal(np.concatenate([v for v, _ in parts]), whole)
         assert sum(r for _, r in parts) == redraws
@@ -335,33 +347,6 @@ class TestMapChunks:
         assert starts[1:] == stops[:-1]
         assert all(a < b for a, b in zip(starts, stops))
         assert pools == ([] if workers == 1 else [workers])
-
-
-class TestVarianceBound:
-    def test_bounds_np_var_of_every_resample(self):
-        for seed in range(40):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(5, 300))
-            y = 2.0 + 2.0 * rng.standard_normal(n)
-            bound = _variance_bound(y)
-            for _ in range(25):
-                assert np.var(y[rng.integers(0, n, size=n)]) <= bound
-
-    def test_bounds_np_var_when_values_differ_by_ulps(self):
-        # np.var's rounded mean of a resample then moves its value by as much
-        # as the spread itself; max((y - mean(y))**2) alone fails here
-        for seed in range(40):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(5, 300))
-            offset = rng.uniform(1.0, 2.0) * 2.0 ** int(rng.integers(-20, 40))
-            y = offset + np.spacing(offset) * rng.integers(0, 3, size=n)
-            bound = _variance_bound(y)
-            for _ in range(25):
-                assert np.var(y[rng.integers(0, n, size=n)]) <= bound
-
-    def test_constant_response(self):
-        y = np.full(7, 0.1)
-        assert np.var(y) <= _variance_bound(y)
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ class TestSandwich:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(40)
         # a nearly duplicated covariate passes the rank check but leaves
-        # the equilibrated design Gram with condition number above 1e12
+        # the centered, unit-norm design Gram with condition number above 1e12
         data = Dataset(
             {
                 "a": x,
