@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -37,6 +38,9 @@ __all__ = [
     "run_test",
 ]
 
+# Per-iteration limit on redraws after rank-deficient or degenerate resamples.
+MAX_REDRAWS = 100
+
 
 @dataclass(frozen=True)
 class BootstrapConfig:
@@ -51,25 +55,21 @@ class BootstrapConfig:
         Test level in (0, 1).
     seed : int
         Master seed, an unsigned 64-bit integer.
-    max_redraws : int
-        Per-iteration limit on redraws after rank-deficient or degenerate
-        resamples.
     """
 
     n_boot: int = 1000
     alpha: float = 0.05
     seed: int = 0
-    max_redraws: int = 100
 
     def __post_init__(self):
+        object.__setattr__(self, "n_boot", as_int(self.n_boot, "n_boot"))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         if self.n_boot < 2:
             raise ValueError(f"n_boot must be at least 2, got {self.n_boot}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.max_redraws < 0:
-            raise ValueError(f"max_redraws must be nonnegative, got {self.max_redraws}")
 
 
 @dataclass(frozen=True)
@@ -148,12 +148,12 @@ def run_test(
     Raises
     ------
     RedrawLimitError
-        If any iteration exceeds ``cfg.max_redraws`` discarded resamples.
+        If any iteration exceeds ``MAX_REDRAWS`` discarded resamples.
     """
     model = fit_mle(data, spec)
     var_observed = var_gof(model.residuals, model.sigma2_hat)
 
-    payload = (_refit_rows(model), cfg.seed, cfg.max_redraws)
+    payload = (_refit_rows(model), cfg.seed)
     chunks = map_chunks(_chunk_worker, cfg.n_boot, threads, payload)
     boot_values = np.concatenate([values for values, _ in chunks])
     redraw_count = sum(redraws for _, redraws in chunks)
@@ -188,6 +188,18 @@ def map_chunks(worker, total: int, threads: int, args: tuple) -> list:
     payloads = [(*args, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
     with concurrent.futures.ProcessPoolExecutor(workers) as pool:
         return list(pool.map(worker, payloads))
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as a Python int; ValueError if it is not an integer.
+
+    Accepts anything ``operator.index`` does, numpy integers included, and
+    so refuses a float rather than truncating it.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _order_index(count: int, q: float) -> int:
@@ -229,7 +241,7 @@ def _refit_rows(model: FittedModel) -> np.ndarray:
 
 
 def _resample_var_gof(
-    rows: np.ndarray, rng: np.random.Generator, max_redraws: int, A: np.ndarray
+    rows: np.ndarray, rng: np.random.Generator, A: np.ndarray
 ) -> tuple[float, int]:
     """var_gof of one resample of ``rows``, redrawing until one is usable.
 
@@ -258,20 +270,20 @@ def _resample_var_gof(
                 residuals = A @ inverse[-1]
                 return var_gof(residuals, float(residuals @ residuals) / n), redraws
         redraws += 1
-        if redraws > max_redraws:
+        if redraws > MAX_REDRAWS:
             raise RedrawLimitError(
-                f"iteration discarded {redraws} resamples, limit {max_redraws}"
+                f"iteration discarded {redraws} resamples, limit {MAX_REDRAWS}"
             )
 
 
 def _chunk_worker(payload) -> tuple[np.ndarray, int]:
-    rows, seed, max_redraws, start, stop = payload
+    rows, seed, start, stop = payload
     seek = _stream_positioner(seed)
     values = np.empty(stop - start)
     A = np.empty_like(rows)
     redraws_total = 0
     for b in range(start, stop):
-        value, redraws = _resample_var_gof(rows, seek(b), max_redraws, A)
+        value, redraws = _resample_var_gof(rows, seek(b), A)
         values[b - start] = value
         redraws_total += redraws
     return values, redraws_total

@@ -20,7 +20,7 @@ from .bootstrap import BootstrapConfig, run_test
 from .diagnostics import breusch_pagan, white_test
 from .errors import DataFormatError, GofbootError
 from .regression import Dataset, ModelSpec, aic, bic, fit_mle, gof_term
-from .simulation import run_monte_carlo
+from .simulation import ScenarioSpec, run_monte_carlo
 from .variance import exact_var_gof, theoretical_var_gof, var_gof
 
 __all__ = ["ingest_csv", "main"]
@@ -44,7 +44,8 @@ def ingest_csv(path) -> Dataset:
         On any structural or numeric defect.
     """
     path = Path(path)
-    with path.open(newline="") as handle:
+    # utf-8-sig strips the byte-order mark that spreadsheet exports put first
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         records = csv.reader(handle)
         reader = _csv_rows(path, records)
         try:
@@ -110,12 +111,8 @@ def main(argv=None) -> int:
 
 
 def _cmd_fit(args) -> int:
+    spec = _model_spec(args)
     data = ingest_csv(args.data)
-    spec = ModelSpec(
-        response=args.response,
-        covariates=tuple(args.covariates),
-        intercept=not args.no_intercept,
-    )
     model = fit_mle(data, spec)
     record = _fit_record(model)
     _emit(record, args.format, _fit_lines(record))
@@ -126,14 +123,10 @@ def _cmd_test(args) -> int:
     # white and breusch-pagan are undefined for an intercept-only model
     if not args.covariates:
         raise _UsageError("test requires at least one covariate")
-    data = ingest_csv(args.data)
-    spec = ModelSpec(
-        response=args.response,
-        covariates=tuple(args.covariates),
-        intercept=not args.no_intercept,
-    )
+    spec = _model_spec(args)
     seed = args.seed if args.seed is not None else secrets.randbits(64)
-    cfg = BootstrapConfig(n_boot=args.boot, alpha=args.alpha, seed=seed)
+    cfg = _build(BootstrapConfig, n_boot=args.boot, alpha=args.alpha, seed=seed)
+    data = ingest_csv(args.data)
     result = run_test(data, spec, cfg, threads=args.threads)
     white = white_test(result.model, data)
     bp = breusch_pagan(result.model, data)
@@ -178,9 +171,10 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = BootstrapConfig(n_boot=args.boot, alpha=args.alpha, seed=args.seed)
+    cell = _build(ScenarioSpec, scenario=args.scenario, n=args.n)
+    cfg = _build(BootstrapConfig, n_boot=args.boot, alpha=args.alpha, seed=args.seed)
     report = run_monte_carlo(
-        args.scenario, args.n, args.reps, cfg, threads=args.threads
+        cell.scenario, cell.n, args.reps, cfg, threads=args.threads
     )
     record = {
         "scenario": report.scenario,
@@ -272,20 +266,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _alpha_type(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must be in (0, 1), got {text}")
-    return value
+def _build(factory, **fields):
+    # the library's constructors own every argument rule; a value they refuse
+    # is a usage error, raised before any data is read
+    try:
+        return factory(**fields)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
 
 
-def _seed_type(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(
-            f"seed must be an unsigned 64-bit integer, got {text}"
-        )
-    return value
+def _model_spec(args) -> ModelSpec:
+    return _build(
+        ModelSpec,
+        response=args.response,
+        covariates=tuple(args.covariates),
+        intercept=not args.no_intercept,
+    )
 
 
 def _min_int_type(minimum: int, label: str):
@@ -301,10 +297,7 @@ def _min_int_type(minimum: int, label: str):
 
 
 def _covariates_type(text: str) -> list[str]:
-    names = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if len(set(names)) != len(names):
-        raise argparse.ArgumentTypeError("covariate names must be unique")
-    return names
+    return [piece.strip() for piece in text.split(",") if piece.strip()]
 
 
 def _add_model_flags(sub) -> None:
@@ -336,16 +329,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     test = commands.add_parser("test", help="run the bootstrap test on a CSV")
     _add_model_flags(test)
-    test.add_argument("--alpha", type=_alpha_type, default=0.05, help="test level")
-    test.add_argument(
-        "--boot",
-        type=_min_int_type(2, "boot"),
-        default=1000,
-        help="bootstrap iterations",
-    )
+    test.add_argument("--alpha", type=float, default=0.05, help="test level")
+    test.add_argument("--boot", type=int, default=1000, help="bootstrap iterations")
     test.add_argument(
         "--seed",
-        type=_seed_type,
+        type=int,
         default=None,
         help="master seed; a random one is drawn and printed when omitted",
     )
@@ -353,15 +341,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = commands.add_parser("simulate", help="Monte Carlo rejection rates")
     sim.add_argument(
-        "--scenario",
-        type=int,
-        choices=(1, 2, 3, 4),
-        required=True,
-        help="data-generating scenario",
+        "--scenario", type=int, required=True, help="data-generating scenario, 1-4"
     )
-    sim.add_argument(
-        "--n", type=_min_int_type(10, "n"), required=True, help="sample size"
-    )
+    sim.add_argument("--n", type=int, required=True, help="sample size")
     sim.add_argument(
         "--reps",
         type=_min_int_type(1, "reps"),
@@ -369,13 +351,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="Monte Carlo replicates",
     )
     sim.add_argument(
-        "--boot",
-        type=_min_int_type(2, "boot"),
-        default=500,
-        help="bootstrap iterations per replicate",
+        "--boot", type=int, default=500, help="bootstrap iterations per replicate"
     )
-    sim.add_argument("--alpha", type=_alpha_type, default=0.05, help="test level")
-    sim.add_argument("--seed", type=_seed_type, required=True, help="master seed")
+    sim.add_argument("--alpha", type=float, default=0.05, help="test level")
+    sim.add_argument("--seed", type=int, required=True, help="master seed")
     sim.set_defaults(handler=_cmd_simulate)
 
     for sub in (fit, test, sim):

@@ -18,6 +18,7 @@ stream, so reports are reproducible and independent of parallelism.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ import numpy as np
 # map_chunks is reached through its module: perfbench/tracer.py wraps the
 # functions bound across modules, and would bill a replicate to bootstrap
 from . import bootstrap
-from .bootstrap import BootstrapConfig, run_test
+from .bootstrap import BootstrapConfig, as_int, run_test
 from .diagnostics import breusch_pagan, white_test
 from .errors import (
     DegenerateFitError,
@@ -66,6 +67,7 @@ class ScenarioSpec:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_int(self.n, "sample size"))
         if self.scenario not in (1, 2, 3, 4):
             raise ValueError(f"scenario must be 1, 2, 3, or 4, got {self.scenario}")
         if self.n < 10:
@@ -149,10 +151,10 @@ def run_monte_carlo(
     """
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
-    ScenarioSpec(scenario, n)  # validate early
+    cell = ScenarioSpec(scenario, n)
 
     flags = np.concatenate(
-        bootstrap.map_chunks(_replicate_chunk, reps, threads, (scenario, n, cfg))
+        bootstrap.map_chunks(_replicate_chunk, reps, threads, (cell, cfg))
     )
     excluded = flags[:, 3]
     n_excluded = int(excluded.sum())
@@ -169,8 +171,8 @@ def run_monte_carlo(
         rates[name] = p
         stderr[name] = math.sqrt(p * (1.0 - p) / n_used)
     return SimReport(
-        scenario=scenario,
-        n=n,
+        scenario=cell.scenario,
+        n=cell.n,
         reps=reps,
         n_boot=cfg.n_boot,
         alpha=cfg.alpha,
@@ -196,18 +198,13 @@ def _replicate_streams(master_seed: int, j: int) -> tuple[np.random.Generator, i
 def _replicate_chunk(payload) -> np.ndarray:
     # one row per replicate j in [start, stop): the bootstrap, White and
     # Breusch-Pagan rejections, then whether the replicate was excluded
-    scenario, n, cfg, start, stop = payload
-    spec = fitted_spec_for(scenario)
+    cell, cfg, start, stop = payload
+    spec = fitted_spec_for(cell.scenario)
     flags = np.zeros((stop - start, 4), dtype=bool)
     for j in range(start, stop):
         data_rng, boot_seed = _replicate_streams(cfg.seed, j)
-        data = generate(ScenarioSpec(scenario, n), data_rng)
-        rep_cfg = BootstrapConfig(
-            n_boot=cfg.n_boot,
-            alpha=cfg.alpha,
-            seed=boot_seed,
-            max_redraws=cfg.max_redraws,
-        )
+        data = generate(cell, data_rng)
+        rep_cfg = dataclasses.replace(cfg, seed=boot_seed)
         row = flags[j - start]
         try:
             result = run_test(data, spec, rep_cfg)

@@ -3,12 +3,25 @@
 import concurrent.futures
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gofboot.regression
 from gofboot import Dataset, ModelSpec
+
+
+def env_with_this_gofboot():
+    """The environment with the tested gofboot's src directory first on PYTHONPATH.
+
+    A subprocess started with it imports the same gofboot as the tests, not
+    some other installed copy.
+    """
+    env = dict(os.environ)
+    src = str(Path(gofboot.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

@@ -5,8 +5,8 @@ itself. These are the routes it no longer takes: the full sandwich matrix
 n * I_n^{-1} (sum_i U_i U_i') I_n^{-1} at theta = (beta, sigma2), and a
 case resample built from whole dataset rows. The White and Breusch-Pagan
 statistics are checked against statsmodels' definitions, computed here by
-SVD on uncentered designs rather than by the package's pivoted QR on
-centered ones.
+numpy's lstsq on the uncentered designs rather than by the package's own
+least-squares SVD on the centered ones.
 """
 
 from dataclasses import dataclass

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gofboot.bootstrap
 from gofboot import (
     BootstrapConfig,
     Dataset,
@@ -278,17 +279,18 @@ class TestRunTest:
     def test_degenerate_resamples_are_redrawn_and_counted(self):
         data = Dataset({"y": np.array([0.0, 0.0, 1.0])})
         spec = ModelSpec(response="y", covariates=())
-        cfg = BootstrapConfig(n_boot=50, alpha=0.05, seed=1, max_redraws=100)
+        cfg = BootstrapConfig(n_boot=50, alpha=0.05, seed=1)
         result = run_test(data, spec, cfg)
         assert result.redraw_count == 28
         assert np.all(np.isfinite(result.boot_values))
 
-    def test_redraw_limit_exhaustion_raises(self):
+    def test_redraw_limit_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(gofboot.bootstrap, "MAX_REDRAWS", 0)
         data = Dataset({"y": np.array([0.0, 0.0, 1.0])})
         spec = ModelSpec(response="y", covariates=())
-        cfg = BootstrapConfig(n_boot=5, alpha=0.05, seed=0, max_redraws=0)
+        cfg = BootstrapConfig(n_boot=5, alpha=0.05, seed=0)
         with pytest.raises(RedrawLimitError):
-            run_test(data, spec, cfg)
+            run_test(data, spec, cfg, threads=1)
 
     def test_original_fit_errors_propagate(self):
         x = np.arange(20.0)
@@ -305,7 +307,8 @@ class TestRunTest:
             {"alpha": 1.0},
             {"seed": -1},
             {"seed": 2**64},
-            {"max_redraws": -1},
+            {"n_boot": 10.5},
+            {"seed": 1.7},
         ],
     )
     def test_config_validation(self, kwargs):
@@ -323,8 +326,8 @@ class TestChunkWorker:
             spec = ModelSpec(response="y", covariates=())
         rows = _refit_rows(fit_mle(data, spec))
         bounds = [0, 1, 2, 9, 40, 97]
-        whole, redraws = _chunk_worker((rows, 12, 100, 0, 97))
-        parts = [_chunk_worker((rows, 12, 100, a, b)) for a, b in zip(bounds, bounds[1:])]
+        whole, redraws = _chunk_worker((rows, 12, 0, 97))
+        parts = [_chunk_worker((rows, 12, a, b)) for a, b in zip(bounds, bounds[1:])]
         assert [v.size for v, _ in parts] == np.diff(bounds).tolist()
         assert np.array_equal(np.concatenate([v for v, _ in parts]), whole)
         assert sum(r for _, r in parts) == redraws

@@ -9,7 +9,12 @@ import pytest
 
 from gofboot.cli import ingest_csv, main
 from gofboot import DataFormatError
-from conftest import INVARIANT_TRANSFORMS, count_fit_mle, scenario1_dataset
+from conftest import (
+    INVARIANT_TRANSFORMS,
+    count_fit_mle,
+    env_with_this_gofboot,
+    scenario1_dataset,
+)
 
 
 def write_csv(path, cols):
@@ -62,6 +67,15 @@ class TestIngestCsv:
         assert list(data.columns) == ["y", "x"]
         assert data.n == 3
         assert np.array_equal(data.columns["x"], [0.0, 1.0, 2.0])
+
+    def test_utf8_byte_order_mark_is_dropped(self, tmp_path, three_point_csv):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        path = tmp_path / "bom.csv"
+        path.write_text("y,x\n0,0\n1,1\n3,2\n", encoding="utf-8-sig")
+        data, plain = ingest_csv(path), ingest_csv(three_point_csv)
+        assert list(data.columns) == ["y", "x"]
+        for name in plain.columns:
+            assert np.array_equal(data.columns[name], plain.columns[name])
 
     @pytest.mark.parametrize(
         "content,fragment",
@@ -264,7 +278,9 @@ class TestExitCodes:
             ["simulate", "--scenario", "1", "--n", "50"],     # missing --seed
             ["fit", "--data", "x.csv", "--response", "y", "--covariates", "a,a"],
             ["test", "--data", "x.csv", "--response", "y"],   # intercept-only
-
+            ["fit", "--data", "x.csv", "--response", "y", "--covariates", "y"],
+            ["fit", "--data", "x.csv", "--response", "y", "--no-intercept"],
+            ["fit", "--data", "x.csv", "--response", ""],
         ],
     )
     def test_usage_errors_exit_one(self, argv, capsys):
@@ -360,7 +376,7 @@ class TestEntryPoint:
         result = subprocess.run(
             [sys.executable, "-m", "gofboot.cli", "fit", "--data",
              three_point_csv, "--response", "y", "--covariates", "x"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env_with_this_gofboot(),
         )
         assert result.returncode == 0
         assert "sigma2_hat: 0.055556" in result.stdout

@@ -1,21 +1,18 @@
 """Tests for what importing gofboot loads and exports."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import gofboot
+from conftest import env_with_this_gofboot
 
 
 def _run_python(code):
     """Run ``code`` in a fresh interpreter that imports this gofboot; return its stdout."""
-    env = dict(os.environ)
-    src = str(Path(gofboot.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=env_with_this_gofboot(), check=True,
     )
     return result.stdout
 

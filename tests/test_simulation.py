@@ -72,7 +72,7 @@ class TestGenerate:
         for name in a.columns:
             assert np.array_equal(a.columns[name], b.columns[name])
 
-    @pytest.mark.parametrize("scenario,n", [(0, 50), (5, 50), (1, 9)])
+    @pytest.mark.parametrize("scenario,n", [(0, 50), (5, 50), (1, 9), (1, 10.5)])
     def test_spec_validation(self, scenario, n):
         with pytest.raises(ValueError):
             ScenarioSpec(scenario, n)

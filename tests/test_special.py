@@ -156,6 +156,19 @@ class TestChiSquaredCdf:
         with pytest.raises(ValueError):
             chi_squared_cdf(x, df)
 
+    @pytest.mark.parametrize("offset", [-1.0, 0.0, 1.0])
+    def test_large_df_matches_scipy_near_the_mean(self, offset):
+        # near x = df the series needs about 8 sqrt(df / 2) terms, 800 here
+        df = 20_000
+        x = df + offset
+        assert chi_squared_cdf(x, df) == pytest.approx(
+            scipy.special.chdtr(df, x), rel=0, abs=1e-10
+        )
+        if x >= df + 1:
+            assert chi_squared_sf(x, df) == pytest.approx(
+                scipy.special.chdtrc(df, x), rel=1e-10
+            )
+
 
 class TestChiSquaredSf:
     def test_df_two_far_tail_is_exp(self):
