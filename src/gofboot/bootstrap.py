@@ -8,8 +8,9 @@ bootstrap values does not contain 2n.
 
 Every bootstrap iteration draws from its own RNG stream: a counter-based
 Philox generator keyed by the master seed whose counter starts at the
-iteration index. Results are therefore bit-identical for any degree of
-parallelism.
+iteration index. A resample is the vector of its row counts, and the
+iterations are refit in fixed blocks whose length depends only on n.
+Results are therefore bit-identical for any degree of parallelism.
 """
 
 from __future__ import annotations
@@ -139,11 +140,11 @@ def run_test(
     """Run the bootstrap goodness-of-fit test.
 
     Fits the model, bootstraps the robust variance of -2 loglik, and
-    rejects when 2n falls outside the percentile interval. Iterations may
-    run across up to ``threads`` worker processes, at most one per CPU;
-    the result is bit-identical for any value because iteration b always
-    uses ``iteration_stream(seed, b)`` and redraws continue on that same
-    stream.
+    rejects when 2n falls outside the percentile interval. Blocks of
+    iterations may run across up to ``threads`` worker processes, at most
+    one per CPU; the result is bit-identical for any value because
+    iteration b always uses ``iteration_stream(seed, b)``, redraws
+    continue on that same stream, and no block is ever split.
 
     Raises
     ------
@@ -153,8 +154,9 @@ def run_test(
     model = fit_mle(data, spec)
     var_observed = var_gof(model.residuals, model.sigma2_hat)
 
-    payload = (_refit_rows(model), cfg.seed)
-    chunks = map_chunks(_chunk_worker, cfg.n_boot, threads, payload)
+    blocks = -(-cfg.n_boot // _block_length(data.n))
+    payload = (_refit_columns(model), cfg.seed, cfg.n_boot)
+    chunks = map_chunks(_chunk_worker, blocks, threads, payload)
     boot_values = np.concatenate([values for values, _ in chunks])
     redraw_count = sum(redraws for _, redraws in chunks)
 
@@ -229,61 +231,182 @@ def _stream_positioner(seed: int):
     return seek
 
 
-def _refit_rows(model: FittedModel) -> np.ndarray:
-    """The rows ``[basis, e / |e|]`` that every resample refits in.
+# float64 entries in the block kernel's scratch buffers: the count and
+# residual buffers and a tile of the per-row product table take at most
+# _BUFFER_ELEMENTS (2 MB) each, a whole table _PAIRS_ELEMENTS (16 MB) and
+# a tile of count-scaled columns _TILE_ELEMENTS (256 KB)
+_BUFFER_ELEMENTS = 2**18
+_PAIRS_ELEMENTS = 2**21
+_TILE_ELEMENTS = 2**15
 
-    A resample of the data's rows is a resample of these rows: the basis
+
+def _refit_columns(model: FittedModel) -> np.ndarray:
+    """The columns ``[basis, e / |e|]`` that every resample refits in, as rows.
+
+    Row j of the p x n result is column j; entry i belongs to data row i.
+    A resample of the data's rows is a resample of these entries: the basis
     spans the design and y is its projection onto the basis plus e, so a
     refit of y on a resample has the residuals of a refit of e.
     """
     e = model.residuals
-    return np.column_stack([model.basis, e / math.sqrt(float(e @ e))])
+    return np.vstack([model.basis.T, e / math.sqrt(float(e @ e))])
 
 
-def _resample_var_gof(
-    rows: np.ndarray, rng: np.random.Generator, A: np.ndarray
-) -> tuple[float, int]:
-    """var_gof of one resample of ``rows``, redrawing until one is usable.
+def _block_length(n: int) -> int:
+    """Iterations per block for n rows: at most 64, and 1 when n > 2**17.
+
+    Keeps the m x n count and residual buffers within ``_BUFFER_ELEMENTS``
+    each, unless one row alone is larger. It depends on n alone, so block
+    k covers the same iterations in every run.
+    """
+    return max(1, min(64, _BUFFER_ELEMENTS // n))
+
+
+def _count_gram(columns: np.ndarray):
+    """Return ``gram``, where ``gram(W)[k]`` is A'A for the row counts W[k].
+
+    For counts w, A'A = sum_i w_i c_i c_i' over the columns c_i of
+    ``columns``. Its q = p (p + 1) / 2 upper entries are ``pairs @ w`` for
+    the table of per-row products pairs[(j, l), i] = c_ji c_li, j <= l.
+    One of three forms is used, chosen from p and n alone, and none holds
+    a buffer that grows past a fixed size with p or n:
+
+    - the table of all n rows, formed once, if it fits in
+      ``_PAIRS_ELEMENTS``;
+    - else tables of ``_BUFFER_ELEMENTS // q`` rows, refilled tile by tile
+      for every block, if the block's m resamples would write at least as
+      much by scaling the p columns once each (m p >= q);
+    - else each count vector scales tiles of ``_TILE_ELEMENTS // p``
+      columns, one small product per tile.
+    """
+    p, n = columns.shape
+    upper = np.triu_indices(p)
+    q = len(upper[0])
+    if q * n > _PAIRS_ELEMENTS and _block_length(n) * p < q:
+        tile = max(1, _TILE_ELEMENTS // p)
+        scaled = np.empty((p, min(n, tile)))
+
+        def gram(W: np.ndarray) -> np.ndarray:
+            stack = np.zeros((len(W), p, p))
+            for w, total in zip(W, stack):
+                for a in range(0, n, tile):
+                    part = scaled[:, : min(tile, n - a)]
+                    np.multiply(columns[:, a : a + tile], w[a : a + tile], out=part)
+                    total += part @ columns[:, a : a + tile].T
+            return stack
+
+        return gram
+
+    tile = n if q * n <= _PAIRS_ELEMENTS else max(1, _BUFFER_ELEMENTS // q)
+    pairs = np.empty((q, tile))
+
+    def fill(a: int) -> np.ndarray:
+        part = columns[:, a : a + tile]
+        out = pairs[:, : part.shape[1]]
+        k = 0
+        for j in range(p):
+            np.multiply(part[j], part[j:], out=out[k : k + p - j])
+            k += p - j
+        return out
+
+    if tile == n:
+        fill(0)
+
+    def gram(W: np.ndarray) -> np.ndarray:
+        triangles = np.zeros((q, len(W)))
+        for a in range(0, n, tile):
+            # pairs @ W.T, not W @ pairs.T: the latter is many times slower
+            triangles += (pairs if tile == n else fill(a)) @ W[:, a : a + tile].T
+        stack = np.empty((len(W), p, p))
+        stack[:, upper[0], upper[1]] = stack[:, upper[1], upper[0]] = triangles.T
+        return stack
+
+    return gram
+
+
+def _block_var_gof(
+    count_gram, columns: np.ndarray, W: np.ndarray, R: np.ndarray
+) -> np.ndarray:
+    """var_gof of the resamples whose row counts are the rows of ``W``.
 
     With A = [Q, a] the resampled rows, the last row of inv(A'A) is
     [-gamma, 1] / RSS for gamma the least-squares coefficients of a on Q,
-    so A @ inv(A'A)[-1] is the refit's residual vector divided by RSS, a
-    scale var_gof ignores. A resample is redrawn when A'A is singular or
-    its Frobenius condition number exceeds ``CONDITION_LIMIT``: that one
-    rule discards both a rank-deficient design and an exact fit.
+    so inv(A'A)[-1] @ columns is the refit's residual r_i for each
+    original row i, divided by RSS, a scale var_gof ignores. For counts w
+    summing to n, var_gof is n (m4 / sigma2**2 - 1) = n**2 S4 / S2**2 - n
+    with Sk = sum_i w_i r_i**k. ``count_gram`` is ``_count_gram(columns)``.
+
+    A resample is unusable when A'A is singular or its Frobenius condition
+    number exceeds ``CONDITION_LIMIT``: that one rule discards both a
+    rank-deficient design and an exact fit. Its value is NaN. ``R`` is
+    scratch space of W's shape.
     """
-    # A is the caller's buffer, reused by every iteration: a fresh rows[idx]
-    # past glibc's mmap threshold is mapped and faulted in each time.
-    # "clip" lets np.take write to out unbuffered; every index is in range.
-    n = rows.shape[0]
-    redraws = 0
-    while True:
-        idx = rng.integers(0, n, size=n)
-        np.take(rows, idx, axis=0, out=A, mode="clip")
-        gram = A.T @ A
-        try:
-            inverse = np.linalg.inv(gram)
-        except np.linalg.LinAlgError:  # exactly singular
-            pass
-        else:
-            if np.vdot(gram, gram) * np.vdot(inverse, inverse) <= CONDITION_LIMIT**2:
-                residuals = A @ inverse[-1]
-                return var_gof(residuals, float(residuals @ residuals) / n), redraws
-        redraws += 1
-        if redraws > MAX_REDRAWS:
-            raise RedrawLimitError(
-                f"iteration discarded {redraws} resamples, limit {MAX_REDRAWS}"
-            )
+    m, n = W.shape
+    gram = count_gram(W)
+    try:
+        inverse = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:  # some matrix is exactly singular
+        inverse = np.full_like(gram, np.nan)
+        for j in range(m):
+            try:
+                inverse[j] = np.linalg.inv(gram[j])
+            except np.linalg.LinAlgError:
+                pass
+    squares = np.einsum("kij,kij->k", gram, gram)
+    usable = squares * np.einsum("kij,kij->k", inverse, inverse) <= CONDITION_LIMIT**2
+    inverse[~usable] = np.nan  # NaN passes through the arithmetic silently
+    np.matmul(inverse[:, -1], columns, out=R)
+    R *= R
+    s2 = np.einsum("kn,kn->k", W, R)
+    R *= R
+    s4 = np.einsum("kn,kn->k", W, R)
+    return n * n * s4 / (s2 * s2) - n
 
 
 def _chunk_worker(payload) -> tuple[np.ndarray, int]:
-    rows, seed, start, stop = payload
+    """Bootstrap values and total redraws of blocks [start, stop) of n_boot.
+
+    Block k covers iterations [k m, min((k + 1) m, n_boot)) for m =
+    ``_block_length(n)``, so the values do not depend on how the blocks
+    are split among workers. Iteration b fills row b - k m of the block's
+    counts from the first draw of ``seek(b)``; one ``_block_var_gof`` call
+    refits the block. An unusable resample redraws on stream b, after its
+    first draw, one at a time through the same kernel.
+
+    Raises
+    ------
+    RedrawLimitError
+        If any iteration exceeds ``MAX_REDRAWS`` discarded resamples.
+    """
+    columns, seed, n_boot, start, stop = payload
+    n = columns.shape[1]
+    m = _block_length(n)
+    count_gram = _count_gram(columns)
     seek = _stream_positioner(seed)
-    values = np.empty(stop - start)
-    A = np.empty_like(rows)
+    first, last = start * m, min(stop * m, n_boot)
+    values = np.empty(last - first)
+    # per-chunk buffers: fresh ones past glibc's mmap threshold would be
+    # mapped and faulted in for every block
+    W = np.empty((m, n))
+    R = np.empty((m, n))
     redraws_total = 0
-    for b in range(start, stop):
-        value, redraws = _resample_var_gof(rows, seek(b), A)
-        values[b - start] = value
-        redraws_total += redraws
+    for a in range(first, last, m):
+        size = min(m, last - a)
+        for j in range(size):
+            W[j] = np.bincount(seek(a + j).integers(0, n, size=n), minlength=n)
+        out = values[a - first : a - first + size]
+        out[:] = _block_var_gof(count_gram, columns, W[:size], R[:size])
+        for j in np.flatnonzero(np.isnan(out)):
+            rng = seek(a + j)
+            rng.integers(0, n, size=n)  # the draw the block already refused
+            redraws = 0
+            while np.isnan(out[j]):
+                redraws += 1
+                if redraws > MAX_REDRAWS:
+                    raise RedrawLimitError(
+                        f"iteration discarded {redraws} resamples, limit {MAX_REDRAWS}"
+                    )
+                W[0] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+                out[j] = _block_var_gof(count_gram, columns, W[:1], R[:1])[0]
+            redraws_total += redraws
     return values, redraws_total

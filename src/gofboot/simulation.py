@@ -67,6 +67,7 @@ class ScenarioSpec:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "scenario", as_int(self.scenario, "scenario"))
         object.__setattr__(self, "n", as_int(self.n, "sample size"))
         if self.scenario not in (1, 2, 3, 4):
             raise ValueError(f"scenario must be 1, 2, 3, or 4, got {self.scenario}")
@@ -149,6 +150,7 @@ def run_monte_carlo(
     ExclusionLimitError
         If at least 0.1 percent of replicates fails to fit.
     """
+    reps = as_int(reps, "reps")
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
     cell = ScenarioSpec(scenario, n)

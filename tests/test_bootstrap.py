@@ -1,5 +1,7 @@
 """Tests for the bootstrap goodness-of-fit test and its resampling engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,9 @@ from gofboot import (
     var_gof,
 )
 from gofboot.bootstrap import (
+    _block_length,
     _chunk_worker,
-    _refit_rows,
+    _refit_columns,
     _stream_positioner,
     map_chunks,
 )
@@ -316,22 +319,115 @@ class TestRunTest:
             BootstrapConfig(**kwargs)
 
 
+def degenerate_case():
+    # intercept-only on three rows: many resamples are constant and redrawn
+    data = Dataset({"y": np.array([0.0, 0.0, 1.0])})
+    return data, ModelSpec(response="y", covariates=())
+
+
 class TestChunkWorker:
     @pytest.mark.parametrize("case", ["scenario1", "degenerate"])
-    def test_uneven_splits_concatenate_bitwise(self, case):
+    def test_block_splits_concatenate_bitwise(self, case):
         if case == "scenario1":
             data, spec = scenario1_dataset(seed=6, n=40)
-        else:  # many resamples are constant and get redrawn
-            data = Dataset({"y": np.array([0.0, 0.0, 1.0])})
-            spec = ModelSpec(response="y", covariates=())
-        rows = _refit_rows(fit_mle(data, spec))
-        bounds = [0, 1, 2, 9, 40, 97]
-        whole, redraws = _chunk_worker((rows, 12, 0, 97))
-        parts = [_chunk_worker((rows, 12, a, b)) for a, b in zip(bounds, bounds[1:])]
-        assert [v.size for v, _ in parts] == np.diff(bounds).tolist()
+        else:
+            data, spec = degenerate_case()
+        columns = _refit_columns(fit_mle(data, spec))
+        n_boot = 197  # the last block is short
+        m = _block_length(data.n)
+        blocks = -(-n_boot // m)
+        bounds = [0, 1, 2, blocks - 1, blocks]
+        whole, redraws = _chunk_worker((columns, 12, n_boot, 0, blocks))
+        parts = [
+            _chunk_worker((columns, 12, n_boot, a, b)) for a, b in zip(bounds, bounds[1:])
+        ]
+        sizes = [min(b * m, n_boot) - a * m for a, b in zip(bounds, bounds[1:])]
+        assert [v.size for v, _ in parts] == sizes
+        assert whole.size == n_boot
         assert np.array_equal(np.concatenate([v for v, _ in parts]), whole)
         assert sum(r for _, r in parts) == redraws
         assert (redraws > 0) == (case == "degenerate")
+
+    def test_redraws_continue_on_the_iteration_stream(self):
+        # the reference refits whole rows and redraws on a degenerate fit
+        data, spec = degenerate_case()
+        cfg = BootstrapConfig(n_boot=150, alpha=0.05, seed=4)
+        result = run_test(data, spec, cfg)
+        redraws = 0
+        for b, value in enumerate(result.boot_values):
+            rng = iteration_stream(cfg.seed, b)
+            while True:
+                try:
+                    model = fit_mle(resample(data, rng), spec)
+                except DegenerateFitError:
+                    redraws += 1
+                    continue
+                break
+            assert value == pytest.approx(
+                var_gof(model.residuals, model.sigma2_hat), rel=1e-12
+            )
+        assert result.redraw_count == redraws > 0
+
+    def test_degenerate_run_is_bit_identical_across_threads(self):
+        data, spec = degenerate_case()
+        cfg = BootstrapConfig(n_boot=150, alpha=0.05, seed=9)
+        assert -(-cfg.n_boot // _block_length(data.n)) == 3
+        one = run_test(data, spec, cfg, threads=1)
+        two = run_test(data, spec, cfg, threads=2)
+        assert one.boot_values.tobytes() == two.boot_values.tobytes()
+        assert one.redraw_count == two.redraw_count > 0
+
+    @pytest.mark.parametrize(
+        "n,m",
+        [(1, 64), (3, 64), (200, 64), (4096, 64), (4097, 63), (5000, 52),
+         (2**17, 2), (2**17 + 1, 1), (200_000, 1)],
+    )
+    def test_block_length_depends_on_n_alone(self, n, m):
+        # at most 64 iterations, and one m x n float64 buffer within 2 MB
+        assert _block_length(n) == m
+        assert m * n <= 2**18 or m == 1
+
+    @pytest.mark.parametrize("case", ["scenario1", "degenerate"])
+    @pytest.mark.parametrize("form", ["refilled tables", "scaled tiles"])
+    def test_every_gram_form_gives_the_same_run(self, case, form, monkeypatch):
+        # shrink the buffers so that small data take the forms meant for
+        # large q n, each over several row tiles with a short last one
+        if case == "scenario1":
+            data, spec = scenario1_dataset(seed=21, n=80)
+            cfg = BootstrapConfig(n_boot=150, alpha=0.05, seed=77)
+        else:
+            data, spec = degenerate_case()
+            cfg = BootstrapConfig(n_boot=50, alpha=0.05, seed=1)
+        whole = run_test(data, spec, cfg, threads=1)
+        n, p = data.n, whole.model.basis.shape[1] + 1
+        q = p * (p + 1) // 2
+        module = gofboot.bootstrap
+        monkeypatch.setattr(module, "_PAIRS_ELEMENTS", 0)
+        if form == "refilled tables":  # m p >= q and tiles of fewer than n rows
+            monkeypatch.setattr(module, "_BUFFER_ELEMENTS", n * -(-q // p))
+        else:  # m = 1 and tiles of two rows
+            monkeypatch.setattr(module, "_BUFFER_ELEMENTS", n)
+            monkeypatch.setattr(module, "_TILE_ELEMENTS", 2 * p)
+        tiled = run_test(data, spec, cfg, threads=1)
+        assert tiled.boot_values == pytest.approx(whole.boot_values, rel=1e-12)
+        assert tiled.redraw_count == whole.redraw_count
+        assert (case == "degenerate") == (whole.redraw_count == 28)
+
+    @pytest.mark.parametrize("p,n", [(7, 5000), (22, 10_000), (22, 2**17 + 1)])
+    def test_worker_memory_does_not_grow_with_the_gram_table(self, p, n):
+        # a table of all q n per-row products would take 265 MB at the last
+        # shape; the count and residual buffers and the draws take about n
+        # floats each
+        module = gofboot.bootstrap
+        columns = np.random.default_rng(p).standard_normal((p, n)) / np.sqrt(n)
+        m = _block_length(n)
+        tracemalloc.start()
+        try:
+            _chunk_worker((columns, 3, 2 * m, 0, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (module._PAIRS_ELEMENTS + 6 * max(n, module._BUFFER_ELEMENTS))
 
 
 class TestMapChunks:

@@ -72,10 +72,16 @@ class TestGenerate:
         for name in a.columns:
             assert np.array_equal(a.columns[name], b.columns[name])
 
-    @pytest.mark.parametrize("scenario,n", [(0, 50), (5, 50), (1, 9), (1, 10.5)])
+    @pytest.mark.parametrize(
+        "scenario,n", [(0, 50), (5, 50), (1, 9), (1, 10.5), (1.0, 50)]
+    )
     def test_spec_validation(self, scenario, n):
         with pytest.raises(ValueError):
             ScenarioSpec(scenario, n)
+
+    def test_spec_stores_python_ints(self):
+        spec = ScenarioSpec(np.int64(3), np.int32(50))
+        assert (type(spec.scenario), type(spec.n)) == (int, int)
 
 
 class TestFittedSpec:
@@ -155,10 +161,11 @@ class TestRunMonteCarlo:
         assert run_monte_carlo(1, 40, 6, cfg, threads=64) == serial
         assert pools == []  # unknown CPU count: one worker, no pool
 
-    def test_reps_validation(self):
+    @pytest.mark.parametrize("reps", [0, 2.5, 20.0])
+    def test_reps_validation(self, reps):
         cfg = BootstrapConfig(n_boot=50, alpha=0.05, seed=44)
         with pytest.raises(ValueError):
-            run_monte_carlo(1, 40, 0, cfg)
+            run_monte_carlo(1, 40, reps, cfg)
 
     def test_exported_by_star_import(self):
         namespace = {}
