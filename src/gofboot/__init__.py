@@ -38,7 +38,6 @@ from .regression import (
 from .simulation import (
     ScenarioSpec,
     SimReport,
-    fitted_spec_for,
     generate,
     run_monte_carlo,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "chi_squared_sf",
     "exact_var_gof",
     "fit_mle",
-    "fitted_spec_for",
     "generate",
     "gof_term",
     "iteration_stream",

@@ -122,6 +122,7 @@ def percentile_interval(
 
     The endpoints are the ceil(B alpha / 2)-th and ceil(B (1 - alpha / 2))-th
     smallest values, 1-indexed, so both endpoints are elements of the input.
+    A NaN has no rank, so any non-finite value is refused.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -129,6 +130,8 @@ def percentile_interval(
     b = values.size
     if b < 1:
         raise ValueError("need at least one bootstrap value")
+    if not np.isfinite(values).all():
+        raise ValueError("bootstrap values must be finite")
     low = values[_order_index(b, 0.5 * alpha) - 1]
     high = values[_order_index(b, 1.0 - 0.5 * alpha) - 1]
     return float(low), float(high)
@@ -152,7 +155,7 @@ def run_test(
         If any iteration exceeds ``MAX_REDRAWS`` discarded resamples.
     """
     model = fit_mle(data, spec)
-    var_observed = var_gof(model.residuals, model.sigma2_hat)
+    var_observed = var_gof(model.residuals)
 
     blocks = -(-cfg.n_boot // _block_length(data.n))
     payload = (_refit_columns(model), cfg.seed, cfg.n_boot)

@@ -173,9 +173,7 @@ def _cmd_test(args) -> int:
 def _cmd_simulate(args) -> int:
     cell = _build(ScenarioSpec, scenario=args.scenario, n=args.n)
     cfg = _build(BootstrapConfig, n_boot=args.boot, alpha=args.alpha, seed=args.seed)
-    report = run_monte_carlo(
-        cell.scenario, cell.n, args.reps, cfg, threads=args.threads
-    )
+    report = run_monte_carlo(cell, args.reps, cfg, threads=args.threads)
     record = {
         "scenario": report.scenario,
         "n": report.n,
@@ -214,7 +212,7 @@ def _fit_record(model) -> dict:
         "gof_term": gof_term(model),
         "aic": aic(model),
         "bic": bic(model),
-        "var_gof": var_gof(model.residuals, model.sigma2_hat),
+        "var_gof": var_gof(model.residuals),
         "reference": theoretical_var_gof(model.n),
         "exact_var_gof": exact_var_gof(model.n, model.r),
     }

@@ -42,7 +42,6 @@ __all__ = [
     "ScenarioSpec",
     "SimReport",
     "generate",
-    "fitted_spec_for",
     "run_monte_carlo",
 ]
 
@@ -121,26 +120,14 @@ def generate(spec: ScenarioSpec, rng: np.random.Generator) -> Dataset:
     return Dataset({"y": y, "x1": x1, "x2": x2})
 
 
-def fitted_spec_for(scenario: int) -> ModelSpec:
-    """The model specification fit to data from ``scenario``."""
-    if scenario not in (1, 2, 3, 4):
-        raise ValueError(f"scenario must be 1, 2, 3, or 4, got {scenario}")
-    if scenario == 2:
-        return ModelSpec(response="y", covariates=("x1",))
-    return ModelSpec(response="y", covariates=("x1", "x2"))
-
-
 def run_monte_carlo(
-    scenario: int,
-    n: int,
-    reps: int,
-    cfg: BootstrapConfig,
-    threads: int = 1,
+    cell: ScenarioSpec, reps: int, cfg: BootstrapConfig, threads: int = 1
 ) -> SimReport:
     """Estimate rejection rates of all three tests over ``reps`` replicates.
 
-    Replicate j draws its data from a stream derived from (cfg.seed, j)
-    and hands the bootstrap a seed derived the same way, so a report is
+    Replicate j draws a dataset of ``cell`` from a stream derived from
+    (cfg.seed, j), fits y on every other column that dataset holds, and
+    hands the bootstrap a seed derived the same way, so a report is
     reproducible bit for bit regardless of ``threads``, which is capped at
     one worker process per CPU. Replicates whose original fit fails are
     counted as exclusions.
@@ -153,7 +140,6 @@ def run_monte_carlo(
     reps = as_int(reps, "reps")
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
-    cell = ScenarioSpec(scenario, n)
 
     flags = np.concatenate(
         bootstrap.map_chunks(_replicate_chunk, reps, threads, (cell, cfg))
@@ -201,11 +187,11 @@ def _replicate_chunk(payload) -> np.ndarray:
     # one row per replicate j in [start, stop): the bootstrap, White and
     # Breusch-Pagan rejections, then whether the replicate was excluded
     cell, cfg, start, stop = payload
-    spec = fitted_spec_for(cell.scenario)
     flags = np.zeros((stop - start, 4), dtype=bool)
     for j in range(start, stop):
         data_rng, boot_seed = _replicate_streams(cfg.seed, j)
         data = generate(cell, data_rng)
+        spec = ModelSpec("y", tuple(name for name in data.columns if name != "y"))
         rep_cfg = dataclasses.replace(cfg, seed=boot_seed)
         row = flags[j - start]
         try:

@@ -12,6 +12,7 @@ exp(a log x - x - lgamma(a)) alone approaches 1e-10 relative.
 from __future__ import annotations
 
 import math
+import operator
 
 __all__ = ["trigamma", "chi_squared_cdf", "chi_squared_sf"]
 
@@ -97,7 +98,7 @@ def chi_squared_cdf(x: float, df: int) -> float:
         If ``x`` is negative or non-finite, or ``df`` is not a positive
         integer.
     """
-    x = _check_chi_squared_args(x, df, "chi_squared_cdf")
+    x, df = _check_chi_squared_args(x, df, "chi_squared_cdf")
     if x == 0.0:
         return 0.0
     if x < df + 1.0:
@@ -114,7 +115,7 @@ def chi_squared_sf(x: float, df: int) -> float:
 
     Parameters and errors are those of :func:`chi_squared_cdf`.
     """
-    x = _check_chi_squared_args(x, df, "chi_squared_sf")
+    x, df = _check_chi_squared_args(x, df, "chi_squared_sf")
     if x == 0.0:
         return 1.0
     if x < df + 1.0:
@@ -122,15 +123,18 @@ def chi_squared_sf(x: float, df: int) -> float:
     return _upper_gamma_cf(0.5 * df, 0.5 * x)
 
 
-def _check_chi_squared_args(x, df, name: str) -> float:
-    if not isinstance(df, (int,)) or isinstance(df, bool):
-        raise ValueError(f"degrees of freedom must be a positive integer, got {df!r}")
-    if df < 1:
+def _check_chi_squared_args(x, df, name: str) -> tuple[float, int]:
+    # operator.index takes numpy integers and refuses floats; bool is an int
+    try:
+        count = operator.index(df)
+    except TypeError:
+        count = 0
+    if isinstance(df, bool) or count < 1:
         raise ValueError(f"degrees of freedom must be a positive integer, got {df!r}")
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"{name} requires x >= 0, got {x!r}")
-    return x
+    return x, count
 
 
 def _max_terms(a: float) -> int:

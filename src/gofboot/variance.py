@@ -32,15 +32,17 @@ __all__ = [
 ]
 
 
-def var_gof(residuals: np.ndarray, sigma2: float) -> float:
+def var_gof(residuals: np.ndarray) -> float:
     """Robust variance of -2 loglik at the MLE, in closed form.
 
-    Returns sum_i (e_i**2 - sigma2)**2 / sigma2**2, the statistic the
-    bootstrap test resamples. For the residuals and ``sigma2_hat`` of an MLE
-    fit it equals (n / sigma2_hat**2) * s_n from the sandwich above and
+    Returns sum_i (e_i**2 - sigma2)**2 / sigma2**2 with sigma2 = e'e / n,
+    the ``sigma2_hat`` of the fit, and is the statistic the bootstrap test
+    resamples. For the residuals of an MLE fit it equals
+    (n / sigma2_hat**2) * s_n from the sandwich above and
     n (m4 / sigma2**2 - 1), with m4 the fourth residual moment, so the
     units of y do not matter.
     """
+    sigma2 = float(residuals @ residuals) / residuals.size
     d = residuals * residuals - sigma2
     return float(d @ d) / (sigma2 * sigma2)
 

@@ -27,6 +27,7 @@ import pytest
 
 from gofboot import (
     BootstrapConfig,
+    ScenarioSpec,
     chi_squared_cdf,
     exact_var_gof,
     fit_mle,
@@ -57,7 +58,7 @@ def mc_cell():
     def cell(scenario, n):
         key = (scenario, n)
         if key not in cache:
-            cache[key] = run_monte_carlo(scenario, n, REPS, cfg)
+            cache[key] = run_monte_carlo(ScenarioSpec(scenario, n), REPS, cfg)
         return cache[key]
 
     return cell
@@ -129,7 +130,7 @@ def test_criterion_5_sandwich_agrees_with_independent_routes():
 def test_criterion_6_variance_tracks_reference_under_null():
     n = 2000
     ratios = [
-        var_gof(model.residuals, model.sigma2_hat) / theoretical_var_gof(n)
+        var_gof(model.residuals) / theoretical_var_gof(n)
         for seed in range(200)
         for data, spec in (scenario1_dataset(seed, n),)
         for model in (fit_mle(data, spec),)

@@ -12,6 +12,7 @@ from gofboot import (
     DegenerateFitError,
     ModelSpec,
     RedrawLimitError,
+    ScenarioSpec,
     fit_mle,
     iteration_stream,
     percentile_interval,
@@ -65,6 +66,12 @@ class TestPercentileInterval:
     def test_alpha_domain(self, alpha):
         with pytest.raises(ValueError):
             percentile_interval(np.arange(10.0), alpha)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_refused(self, bad):
+        # np.sort would rank NaN above every number: (1.0, 3.0) at alpha 0.5
+        with pytest.raises(ValueError, match="finite"):
+            percentile_interval([1.0, bad, 2.0, 3.0], 0.5)
 
 
 class TestDecisionRule:
@@ -192,7 +199,7 @@ class TestRunTest:
     def test_observed_value_matches_sandwich(self, small_case):
         data, spec, _, result = small_case
         model = fit_mle(data, spec)
-        assert result.var_gof_observed == var_gof(model.residuals, model.sigma2_hat)
+        assert result.var_gof_observed == var_gof(model.residuals)
         assert result.var_gof_observed == pytest.approx(
             sandwich(model, data).var_gof, rel=1e-12
         )
@@ -219,7 +226,7 @@ class TestRunTest:
         boot_data = resample(data, iteration_stream(cfg.seed, 0))
         model = fit_mle(boot_data, spec)
         assert result.boot_values[0] == pytest.approx(
-            var_gof(model.residuals, model.sigma2_hat), rel=1e-12
+            var_gof(model.residuals), rel=1e-12
         )
         assert result.boot_values[0] == pytest.approx(
             sandwich(model, boot_data).var_gof, rel=1e-12
@@ -231,7 +238,7 @@ class TestRunTest:
         for b, value in enumerate(result.boot_values):
             model = fit_mle(resample(data, iteration_stream(cfg.seed, b)), spec)
             assert value == pytest.approx(
-                var_gof(model.residuals, model.sigma2_hat), rel=1e-12
+                var_gof(model.residuals), rel=1e-12
             )
 
     def test_result_carries_the_original_fit(self, small_case):
@@ -364,7 +371,7 @@ class TestChunkWorker:
                     continue
                 break
             assert value == pytest.approx(
-                var_gof(model.residuals, model.sigma2_hat), rel=1e-12
+                var_gof(model.residuals), rel=1e-12
             )
         assert result.redraw_count == redraws > 0
 
@@ -457,6 +464,6 @@ class TestTypeOneError:
     def test_rejection_rate_near_nominal_under_correct_model(self):
         # 500 replicates of scenario 1 at n = 500 with B = 1000
         cfg = BootstrapConfig(n_boot=1000, alpha=0.05, seed=1729)
-        report = run_monte_carlo(1, 500, 500, cfg)
+        report = run_monte_carlo(ScenarioSpec(1, 500), 500, cfg)
         assert report.excluded == 0
         assert abs(report.rates["bootstrap"] - 0.088) <= 0.04

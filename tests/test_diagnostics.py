@@ -11,7 +11,7 @@ from gofboot import (
     fit_mle,
     white_test,
 )
-from gofboot.simulation import ScenarioSpec, fitted_spec_for, generate
+from gofboot.simulation import ScenarioSpec, generate
 from conftest import INVARIANT_TRANSFORMS, scenario1_dataset
 from oracle import het_reference
 
@@ -200,8 +200,13 @@ def reference_case(kind, seed):
         y = 1.0 + d1 - d2 + (1.0 + d1) * rng.standard_normal(90)
         data = Dataset({"d1": d1, "d2": d2, "y": y})
         return data, ModelSpec(response="y", covariates=("d1", "d2"))
-    scenario = int(kind.removeprefix("scenario"))
-    return generate(ScenarioSpec(scenario, 120), rng), fitted_spec_for(scenario)
+    return scenario_draw(int(kind.removeprefix("scenario")), 120, rng)
+
+
+def scenario_draw(scenario, n, rng):
+    # as each Monte Carlo replicate does: fit y on every other generated column
+    data = generate(ScenarioSpec(scenario, n), rng)
+    return data, ModelSpec("y", tuple(name for name in data.columns if name != "y"))
 
 
 class TestAgainstReference:
@@ -226,9 +231,7 @@ class TestAgainstStatsmodels:
     def test_statistics_match(self, scenario, seed):
         sm_api = pytest.importorskip("statsmodels.api")
         sm_diag = pytest.importorskip("statsmodels.stats.diagnostic")
-        rng = np.random.default_rng(seed)
-        data = generate(ScenarioSpec(scenario, 120), rng)
-        spec = fitted_spec_for(scenario)
+        data, spec = scenario_draw(scenario, 120, np.random.default_rng(seed))
         model = fit_mle(data, spec)
         X = np.column_stack(
             [np.ones(data.n)] + [data.columns[c] for c in spec.covariates]
@@ -248,13 +251,12 @@ class TestAgainstStatsmodels:
 
 
 def classical_rates(scenario, n, reps=500, alpha=0.05, seed=1729):
-    spec = fitted_spec_for(scenario)
     white = bp = 0
     for j in range(reps):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(j, 0))
         )
-        data = generate(ScenarioSpec(scenario, n), rng)
+        data, spec = scenario_draw(scenario, n, rng)
         model = fit_mle(data, spec)
         white += white_test(model, data).reject_at(alpha)
         bp += breusch_pagan(model, data).reject_at(alpha)

@@ -27,7 +27,7 @@ class TestImportContract:
             "ModelSpec", "RankDeficientError", "RedrawLimitError",
             "ScenarioSpec", "SimReport", "SingularInformationError", "aic",
             "bic", "breusch_pagan", "chi_squared_cdf", "chi_squared_sf",
-            "exact_var_gof", "fit_mle", "fitted_spec_for", "generate",
+            "exact_var_gof", "fit_mle", "generate",
             "gof_term", "iteration_stream", "percentile_interval",
             "run_monte_carlo", "run_test", "theoretical_var_gof", "trigamma",
             "var_gof", "white_test",

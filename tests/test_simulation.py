@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import gofboot.bootstrap as bootstrap
+import gofboot.simulation as simulation
 from gofboot import (
     BootstrapConfig,
     DegenerateFitError,
     ExclusionLimitError,
+    ModelSpec,
     ScenarioSpec,
-    fitted_spec_for,
     generate,
     run_monte_carlo,
 )
@@ -84,21 +85,24 @@ class TestGenerate:
         assert (type(spec.scenario), type(spec.n)) == (int, int)
 
 
-class TestFittedSpec:
-    def test_omitted_covariate_scenario_fits_reduced_model(self):
-        spec = fitted_spec_for(2)
-        assert spec.covariates == ("x1",)
-        assert spec.intercept
+class TestFittedModel:
+    def test_replicates_fit_y_on_the_generated_covariates(self, monkeypatch):
+        # scenario 2 withholds x2, so its replicates fit the reduced model
+        specs = {}
+        real_run_test = simulation.run_test
 
-    @pytest.mark.parametrize("scenario", [1, 3, 4])
-    def test_full_model_scenarios(self, scenario):
-        spec = fitted_spec_for(scenario)
-        assert spec.covariates == ("x1", "x2")
-        assert spec.response == "y"
+        def recording_run_test(data, spec, cfg):
+            specs[scenario].add(spec)
+            return real_run_test(data, spec, cfg)
 
-    def test_unknown_scenario(self):
-        with pytest.raises(ValueError):
-            fitted_spec_for(5)
+        monkeypatch.setattr(simulation, "run_test", recording_run_test)
+        cfg = BootstrapConfig(n_boot=20, alpha=0.05, seed=47)
+        for scenario in (1, 2, 3, 4):
+            specs[scenario] = set()
+            run_monte_carlo(ScenarioSpec(scenario, 40), 3, cfg)
+        full = ModelSpec(response="y", covariates=("x1", "x2"))
+        reduced = ModelSpec(response="y", covariates=("x1",))
+        assert specs == {1: {full}, 2: {reduced}, 3: {full}, 4: {full}}
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +113,7 @@ class TestFittedSpec:
 class TestRunMonteCarlo:
     def test_single_replicate_report(self):
         cfg = BootstrapConfig(n_boot=50, alpha=0.05, seed=40)
-        report = run_monte_carlo(1, 60, 1, cfg)
+        report = run_monte_carlo(ScenarioSpec(1, 60), 1, cfg)
         for name in ("bootstrap", "white", "breusch_pagan"):
             assert report.rates[name] in (0.0, 1.0)
             assert report.mc_stderr[name] == 0.0
@@ -118,13 +122,13 @@ class TestRunMonteCarlo:
 
     def test_parallel_report_is_identical(self):
         cfg = BootstrapConfig(n_boot=60, alpha=0.05, seed=41)
-        serial = run_monte_carlo(2, 50, 12, cfg)
-        parallel = run_monte_carlo(2, 50, 12, cfg, threads=3)
+        serial = run_monte_carlo(ScenarioSpec(2, 50), 12, cfg)
+        parallel = run_monte_carlo(ScenarioSpec(2, 50), 12, cfg, threads=3)
         assert serial == parallel
 
     def test_binomial_standard_errors(self):
         cfg = BootstrapConfig(n_boot=60, alpha=0.05, seed=42)
-        report = run_monte_carlo(4, 80, 25, cfg)
+        report = run_monte_carlo(ScenarioSpec(4, 80), 25, cfg)
         for name, p in report.rates.items():
             expected = np.sqrt(p * (1.0 - p) / 25)
             assert report.mc_stderr[name] == pytest.approx(expected, rel=1e-12)
@@ -143,29 +147,29 @@ class TestRunMonteCarlo:
         monkeypatch.setattr(bootstrap, "fit_mle", flaky_fit)
         cfg = BootstrapConfig(n_boot=50, alpha=0.05, seed=43)
         with pytest.raises(ExclusionLimitError):
-            run_monte_carlo(1, 40, 6, cfg)
+            run_monte_carlo(ScenarioSpec(1, 40), 6, cfg)
 
     def test_fits_each_replicate_once(self, monkeypatch):
         calls = count_fit_mle(monkeypatch)
         cfg = BootstrapConfig(n_boot=20, alpha=0.05, seed=45)
-        run_monte_carlo(4, 40, 5, cfg)
+        run_monte_carlo(ScenarioSpec(4, 40), 5, cfg)
         assert calls == [40] * 5
 
     def test_worker_processes_capped_at_cpu_count(self, monkeypatch):
         cfg = BootstrapConfig(n_boot=20, alpha=0.05, seed=46)
-        serial = run_monte_carlo(1, 40, 6, cfg)
+        serial = run_monte_carlo(ScenarioSpec(1, 40), 6, cfg)
         pools = fake_process_pools(monkeypatch, cpus=2)
-        assert run_monte_carlo(1, 40, 6, cfg, threads=64) == serial
+        assert run_monte_carlo(ScenarioSpec(1, 40), 6, cfg, threads=64) == serial
         assert pools == [2]
         pools = fake_process_pools(monkeypatch, cpus=None)
-        assert run_monte_carlo(1, 40, 6, cfg, threads=64) == serial
+        assert run_monte_carlo(ScenarioSpec(1, 40), 6, cfg, threads=64) == serial
         assert pools == []  # unknown CPU count: one worker, no pool
 
     @pytest.mark.parametrize("reps", [0, 2.5, 20.0])
     def test_reps_validation(self, reps):
         cfg = BootstrapConfig(n_boot=50, alpha=0.05, seed=44)
         with pytest.raises(ValueError):
-            run_monte_carlo(1, 40, reps, cfg)
+            run_monte_carlo(ScenarioSpec(1, 40), reps, cfg)
 
     def test_exported_by_star_import(self):
         namespace = {}
@@ -181,7 +185,7 @@ class TestRunMonteCarlo:
 class TestPublishedRates:
     def test_omitted_covariate_power_at_thousand(self):
         cfg = BootstrapConfig(n_boot=500, alpha=0.05, seed=1729)
-        report = run_monte_carlo(2, 1000, 500, cfg)
+        report = run_monte_carlo(ScenarioSpec(2, 1000), 500, cfg)
         assert abs(report.rates["bootstrap"] - 0.997) <= 0.04
         assert abs(report.rates["white"] - 0.063) <= 0.04
         assert report.excluded == 0
@@ -189,5 +193,5 @@ class TestPublishedRates:
     @pytest.mark.slow
     def test_type_one_error_at_twenty_five_hundred(self):
         cfg = BootstrapConfig(n_boot=500, alpha=0.05, seed=1729)
-        report = run_monte_carlo(1, 2500, 500, cfg)
+        report = run_monte_carlo(ScenarioSpec(1, 2500), 500, cfg)
         assert abs(report.rates["bootstrap"] - 0.069) <= 0.04

@@ -126,6 +126,7 @@ class TestChiSquaredCdf:
             (18.3, 10),
             (30.0, 25),
             (75.0, 60),
+            (3.0, np.int64(2)),
         ],
     )
     def test_matches_quadrature_oracle(self, x, df):
@@ -150,7 +151,8 @@ class TestChiSquaredCdf:
 
     @pytest.mark.parametrize(
         "x,df",
-        [(-1.0, 2), (math.nan, 2), (math.inf, 2), (1.0, 0), (1.0, -3), (1.0, 2.5), (1.0, True)],
+        [(-1.0, 2), (math.nan, 2), (math.inf, 2), (1.0, 0), (1.0, -3), (1.0, 2.5), (1.0, True),
+         (1.0, np.float64(2.0)), (1.0, np.bool_(True)), (1.0, np.int64(0))],
     )
     def test_domain_errors(self, x, df):
         with pytest.raises(ValueError):
@@ -181,14 +183,15 @@ class TestChiSquaredSf:
             scipy.special.chdtrc(5, 200.0), rel=1e-10
         )
 
-    @pytest.mark.parametrize("df", [1, 2, 5, 20])
+    @pytest.mark.parametrize("df", [1, 2, 5, 20, np.int64(2)])
     def test_equals_one_minus_cdf_below_df_plus_one(self, df):
         for x in np.linspace(0.0, df + 1.0, 50, endpoint=False):
             assert chi_squared_sf(x, df) == 1.0 - chi_squared_cdf(x, df)
 
     @pytest.mark.parametrize(
         "x,df",
-        [(-1.0, 2), (math.nan, 2), (math.inf, 2), (1.0, 0), (1.0, 2.5), (1.0, True)],
+        [(-1.0, 2), (math.nan, 2), (math.inf, 2), (1.0, 0), (1.0, 2.5), (1.0, True),
+         (1.0, np.float64(2.0)), (1.0, np.bool_(True)), (1.0, np.int64(0))],
     )
     def test_domain_errors(self, x, df):
         with pytest.raises(ValueError):

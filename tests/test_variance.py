@@ -215,7 +215,7 @@ class TestClosedForm:
     def test_equals_matrix_path(self, seed):
         data, spec = random_regression(seed)
         model = fit_mle(data, spec)
-        assert var_gof(model.residuals, model.sigma2_hat) == pytest.approx(
+        assert var_gof(model.residuals) == pytest.approx(
             sandwich(model, data).var_gof, rel=1e-12
         )
 
@@ -230,8 +230,8 @@ class TestClosedForm:
         moved = Dataset(transform(data.columns))
         base = fit_mle(data, spec)
         model = fit_mle(moved, spec)
-        assert var_gof(model.residuals, model.sigma2_hat) == pytest.approx(
-            var_gof(base.residuals, base.sigma2_hat), rel=1e-10
+        assert var_gof(model.residuals) == pytest.approx(
+            var_gof(base.residuals), rel=1e-10
         )
 
 
