@@ -184,8 +184,11 @@ def map_chunks(worker, total: int, threads: int, args: tuple) -> list:
     Uses ``min(threads, total, os.cpu_count())`` worker processes and runs
     inline when that is one. The chunks are contiguous and non-empty, since
     there are at most ``total`` of them; the results come back in chunk
-    order.
+    order. Raises ValueError unless ``threads`` is an integer of at least 1.
     """
+    threads = as_int(threads, "threads")
+    if threads < 1:
+        raise ValueError(f"threads must be positive, got {threads}")
     workers = min(threads, total, os.cpu_count() or 1)
     if workers <= 1:
         return [worker((*args, 0, total))]

@@ -12,6 +12,7 @@ import json
 import math
 import secrets
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -128,8 +129,10 @@ def _cmd_test(args) -> int:
     cfg = _build(BootstrapConfig, n_boot=args.boot, alpha=args.alpha, seed=seed)
     data = ingest_csv(args.data)
     result = run_test(data, spec, cfg, threads=args.threads)
-    white = white_test(result.model, data)
-    bp = breusch_pagan(result.model, data)
+    aux_tests = {}
+    for name, test in (("white", white_test), ("breusch_pagan", breusch_pagan)):
+        aux = test(result.model, data)
+        aux_tests[name] = {**asdict(aux), "reject": aux.reject_at(cfg.alpha)}
 
     record = _fit_record(result.model)
     record.update(
@@ -139,28 +142,17 @@ def _cmd_test(args) -> int:
         interval=[result.interval_low, result.interval_high],
         reject=result.reject,
         redraw_count=result.redraw_count,
-        white={
-            "statistic": white.statistic,
-            "df": white.df,
-            "p_value": white.p_value,
-            "reject": white.reject_at(cfg.alpha),
-        },
-        breusch_pagan={
-            "statistic": bp.statistic,
-            "df": bp.df,
-            "p_value": bp.p_value,
-            "reject": bp.reject_at(cfg.alpha),
-        },
+        **aux_tests,
     )
     lines = _fit_lines(record)
     lines.append(
         f"bootstrap interval: [{result.interval_low:.6f}, {result.interval_high:.6f}]"
     )
     lines.append(f"bootstrap reject: {_yesno(result.reject)}")
-    for name, aux in (("white", white), ("breusch_pagan", bp)):
+    for name, aux in aux_tests.items():
         lines.append(
-            f"{name}: statistic={aux.statistic:.6f} df={aux.df} "
-            f"p_value={aux.p_value:.6f} reject: {_yesno(aux.reject_at(cfg.alpha))}"
+            f"{name}: statistic={aux['statistic']:.6f} df={aux['df']} "
+            f"p_value={aux['p_value']:.6f} reject: {_yesno(aux['reject'])}"
         )
     lines.append(f"alpha: {cfg.alpha:.6f}")
     lines.append(f"B: {cfg.n_boot}")

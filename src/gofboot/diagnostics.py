@@ -1,7 +1,8 @@
 """Classical heteroskedasticity tests used as comparators.
 
 Both tests regress the squared residuals of a fitted model on an auxiliary
-design and refer n R**2 to a chi-squared distribution. The Breusch-Pagan
+design and refer n R**2 to a chi-squared distribution whose df is the rank
+of that design, intercept included, minus one. The Breusch-Pagan
 statistic is the studentized (Koenker) form, which is what the n R**2
 expression computes.
 """
@@ -50,25 +51,17 @@ def breusch_pagan(model: FittedModel, data: Dataset) -> AuxTestResult:
     """Breusch-Pagan test in the studentized n R**2 form.
 
     Regresses squared residuals on the model's own covariates, centered,
-    plus an intercept.
+    plus an intercept. Degrees of freedom are the rank of that design,
+    intercept included, minus one, as for :func:`white_test`.
 
     Raises
     ------
     ValueError
         If the model has no non-intercept covariates.
     RankDeficientError
-        If the auxiliary design is rank deficient.
+        If the auxiliary design has rank one, with ``rank`` set to 0.
     """
-    names = model.spec.covariates
-    if not names:
-        raise ValueError("Breusch-Pagan requires at least one covariate")
-    result = _nr2_test(model, [_centered(data.columns[c]) for c in names])
-    if result.df < len(names):
-        raise RankDeficientError(
-            f"auxiliary design has rank {result.df + 1}, expected {len(names) + 1}",
-            rank=result.df + 1,
-        )
-    return result
+    return _nr2_test(model, _centered_covariates(model, data))
 
 
 def white_test(model: FittedModel, data: Dataset) -> AuxTestResult:
@@ -87,18 +80,19 @@ def white_test(model: FittedModel, data: Dataset) -> AuxTestResult:
     RankDeficientError
         If the auxiliary design has rank one, with ``rank`` set to 0.
     """
+    base = _centered_covariates(model, data)
+    squares = [col * col for col in base]
+    products = [a * b for a, b in combinations(base, 2)]
+    return _nr2_test(model, base + squares + products)
+
+
+def _centered_covariates(model: FittedModel, data: Dataset) -> list[np.ndarray]:
     names = model.spec.covariates
     if not names:
-        raise ValueError("White test requires at least one covariate")
-    base = [_centered(data.columns[c]) for c in names]
-    regressors = list(base)
-    regressors.extend(col * col for col in base)
-    regressors.extend(base[i] * base[j] for i, j in combinations(range(len(base)), 2))
-    return _nr2_test(model, regressors)
-
-
-def _centered(col: np.ndarray) -> np.ndarray:
-    return col - col.mean()
+        raise ValueError(
+            "White and Breusch-Pagan tests require at least one covariate"
+        )
+    return [data.columns[c] - data.columns[c].mean() for c in names]
 
 
 def _nr2_test(model: FittedModel, regressors: list[np.ndarray]) -> AuxTestResult:

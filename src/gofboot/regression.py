@@ -125,8 +125,6 @@ class FittedModel:
         Sample size.
     r : int
         Number of mean parameters (columns of the design matrix).
-    loglik : float
-        Maximized log-likelihood.
     spec : ModelSpec
         The specification that produced the design matrix.
     basis : np.ndarray or None
@@ -139,7 +137,6 @@ class FittedModel:
     residuals: np.ndarray
     n: int
     r: int
-    loglik: float
     spec: ModelSpec = field(repr=False)
     basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -248,14 +245,12 @@ def fit_mle(data: Dataset, spec: ModelSpec) -> FittedModel:
         )
     if spec.intercept:
         beta[0] -= shift @ beta[1:]
-    loglik = -0.5 * n * (math.log(2.0 * math.pi) + 1.0 + math.log(sigma2))
     return FittedModel(
         beta_hat=beta,
         sigma2_hat=sigma2,
         residuals=residuals,
         n=n,
         r=r,
-        loglik=loglik,
         spec=spec,
         basis=basis,
     )

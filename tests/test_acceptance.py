@@ -58,7 +58,9 @@ def mc_cell():
     def cell(scenario, n):
         key = (scenario, n)
         if key not in cache:
-            cache[key] = run_monte_carlo(ScenarioSpec(scenario, n), REPS, cfg)
+            cache[key] = run_monte_carlo(
+                ScenarioSpec(scenario, n), REPS, cfg, threads=2
+            )
         return cache[key]
 
     return cell

@@ -454,6 +454,14 @@ class TestMapChunks:
         assert all(a < b for a, b in zip(starts, stops))
         assert pools == ([] if workers == 1 else [workers])
 
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, None, "2"])
+    def test_entry_points_refuse_a_bad_worker_count(self, small_case, threads):
+        data, spec, cfg, _ = small_case
+        with pytest.raises(ValueError, match="threads"):
+            run_test(data, spec, cfg, threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            run_monte_carlo(ScenarioSpec(1, 40), 2, cfg, threads=threads)
+
 
 # ---------------------------------------------------------------------------
 # operating characteristics under the correct model

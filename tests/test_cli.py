@@ -281,6 +281,12 @@ class TestExitCodes:
             ["fit", "--data", "x.csv", "--response", "y", "--covariates", "y"],
             ["fit", "--data", "x.csv", "--response", "y", "--no-intercept"],
             ["fit", "--data", "x.csv", "--response", ""],
+            ["test", "--data", "x.csv", "--response", "y", "--covariates", "x",
+             "--threads", "0"],
+            ["simulate", "--scenario", "1", "--n", "50", "--seed", "1",
+             "--threads", "0"],
+            ["simulate", "--scenario", "1", "--n", "50", "--seed", "1",
+             "--reps", "0"],
         ],
     )
     def test_usage_errors_exit_one(self, argv, capsys):

@@ -142,31 +142,22 @@ class TestDegenerateDesigns:
         with pytest.raises(ValueError, match="covariate"):
             white_test(model, data)
 
-    def test_breusch_pagan_rank_deficient_aux(self):
-        # constant covariate in a no-intercept model: the model design is
-        # fine but the auxiliary design [1, c, x] is collinear
-        rng = np.random.default_rng(16)
-        x = rng.standard_normal(30)
-        data = Dataset(
-            {"c": np.full(30, 2.0), "x": x, "y": x + rng.standard_normal(30)}
-        )
-        model = fit_mle(
-            data, ModelSpec(response="y", covariates=("c", "x"), intercept=False)
-        )
-        with pytest.raises(RankDeficientError):
-            breusch_pagan(model, data)
-
-    def test_white_counts_columns_beside_a_constant_covariate(self):
-        # the centered constant and its products are all-zero columns, which
-        # add nothing to the rank; x and x^2 still count
+    @pytest.mark.parametrize(
+        "name,test,expected_df",
+        [("white", white_test, 2), ("breusch_pagan", breusch_pagan, 1)],
+        ids=["white", "breusch_pagan"],
+    )
+    def test_counts_columns_beside_a_constant_covariate(self, name, test, expected_df):
+        # in a no-intercept model the centered constant and its products are
+        # all-zero columns, which add nothing to the rank; x (and x^2) count
         rng = np.random.default_rng(16)
         x = rng.standard_normal(30)
         y = x + (1.0 + x**2) * rng.standard_normal(30)
         data = Dataset({"c": np.full(30, 2.0), "x": x, "y": y})
         spec = ModelSpec(response="y", covariates=("c", "x"), intercept=False)
-        result = white_test(fit_mle(data, spec), data)
-        statistic, df = het_reference(data, spec)["white"]
-        assert result.df == df == 2
+        result = test(fit_mle(data, spec), data)
+        statistic, df = het_reference(data, spec)[name]
+        assert result.df == df == expected_df
         assert result.statistic == pytest.approx(statistic, rel=1e-8)
 
     def test_white_with_no_surviving_regressors(self):
