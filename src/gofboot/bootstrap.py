@@ -202,12 +202,14 @@ def as_int(value, name: str) -> int:
     """``value`` as a Python int; ValueError if it is not an integer.
 
     Accepts anything ``operator.index`` does, numpy integers included, and
-    so refuses a float rather than truncating it.
+    so refuses a float rather than truncating it. A bool is refused too.
     """
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _order_index(count: int, q: float) -> int:

@@ -167,15 +167,8 @@ def _cmd_simulate(args) -> int:
     cfg = _build(BootstrapConfig, n_boot=args.boot, alpha=args.alpha, seed=args.seed)
     report = run_monte_carlo(cell, args.reps, cfg, threads=args.threads)
     record = {
-        "scenario": report.scenario,
-        "n": report.n,
-        "reps": report.reps,
-        "B": report.n_boot,
-        "alpha": report.alpha,
-        "seed": report.seed,
-        "rates": dict(report.rates),
-        "mc_stderr": dict(report.mc_stderr),
-        "excluded": report.excluded,
+        ("B" if key == "n_boot" else key): value
+        for key, value in asdict(report).items()
     }
     lines = [
         f"scenario {report.scenario}  n={report.n}  reps={report.reps}  "
@@ -283,6 +276,8 @@ def _min_int_type(minimum: int, label: str):
             )
         return value
 
+    # argparse names the type in its "invalid <type> value" message
+    convert.__name__ = "int"
     return convert
 
 

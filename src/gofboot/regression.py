@@ -26,7 +26,8 @@ __all__ = ["Dataset", "ModelSpec", "FittedModel", "fit_mle", "gof_term", "aic", 
 # Singular values at or below this multiple of the largest do not count to the rank.
 RANK_TOLERANCE = 1e-10
 
-# sigma2_hat below this multiple of Var(y) counts as a perfect fit.
+# sigma2_hat below this multiple of the mean square of the response the solve
+# used (centered when the model has an intercept) counts as a perfect fit.
 DEGENERATE_TOLERANCE = 1e-12
 
 # Near-singular limit on the condition number of the unit-norm design's Gram.
@@ -193,9 +194,9 @@ def fit_mle(data: Dataset, spec: ModelSpec) -> FittedModel:
     """Fit the normal linear model by maximum likelihood.
 
     The variance estimate uses the MLE divisor n (not n - r). With an
-    intercept the covariates are centered before the solve, and the
-    intercept is restored afterwards, so moving a covariate changes
-    neither rule below.
+    intercept the covariates and the response are centered before the
+    solve, and the intercept is restored afterwards, so moving a column
+    changes none of the rules below.
 
     Parameters
     ----------
@@ -214,7 +215,9 @@ def fit_mle(data: Dataset, spec: ModelSpec) -> FittedModel:
         If the centered, unit-norm design has a singular value at or below
         ``RANK_TOLERANCE`` (1e-10) times its largest.
     DegenerateFitError
-        If the fit is perfect, sigma2_hat <= 1e-12 * Var(y).
+        If the fit is perfect, sigma2_hat <= 1e-12 * mean(y**2) on the
+        response the solve used: Var(y) with an intercept, so a constant
+        response is refused, and the uncentered mean square without one.
     SingularInformationError
         If the Gram of the centered, unit-norm design has condition number
         above ``CONDITION_LIMIT`` (1e12).
@@ -228,13 +231,15 @@ def fit_mle(data: Dataset, spec: ModelSpec) -> FittedModel:
     if spec.intercept:
         shift = X[:, 1:].mean(axis=0)
         X[:, 1:] -= shift
+        y_mean = y.mean()
+        y = y - y_mean
     beta, residuals, rank, cond, basis = least_squares(X, y)
     if rank < r:
         raise RankDeficientError(
             f"design matrix has rank {rank}, expected {r}", rank=rank
         )
     sigma2 = float(residuals @ residuals) / n
-    if sigma2 <= DEGENERATE_TOLERANCE * float(np.var(y)):
+    if sigma2 <= DEGENERATE_TOLERANCE * float(y @ y) / n:
         raise DegenerateFitError(
             f"residual variance {sigma2:.3e} is zero within tolerance"
         )
@@ -244,7 +249,7 @@ def fit_mle(data: Dataset, spec: ModelSpec) -> FittedModel:
             f"{CONDITION_LIMIT:.0e}"
         )
     if spec.intercept:
-        beta[0] -= shift @ beta[1:]
+        beta[0] += y_mean - shift @ beta[1:]
     return FittedModel(
         beta_hat=beta,
         sigma2_hat=sigma2,

@@ -319,6 +319,7 @@ class TestRunTest:
             {"seed": 2**64},
             {"n_boot": 10.5},
             {"seed": 1.7},
+            {"seed": True},
         ],
     )
     def test_config_validation(self, kwargs):
@@ -454,7 +455,7 @@ class TestMapChunks:
         assert all(a < b for a, b in zip(starts, stops))
         assert pools == ([] if workers == 1 else [workers])
 
-    @pytest.mark.parametrize("threads", [0, -3, 2.5, None, "2"])
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, None, "2", True])
     def test_entry_points_refuse_a_bad_worker_count(self, small_case, threads):
         data, spec, cfg, _ = small_case
         with pytest.raises(ValueError, match="threads"):

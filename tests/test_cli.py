@@ -293,6 +293,13 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--reps", "--threads", "--boot"])
+    def test_non_integer_count_names_its_type(self, flag, capsys):
+        argv = ["simulate", "--scenario", "1", "--n", "50", "--seed", "1",
+                flag, "1.5"]
+        assert main(argv) == 1
+        assert f"argument {flag}: invalid int value: '1.5'" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code = main(["fit", "--data", str(tmp_path / "nope.csv"),
                      "--response", "y"])
@@ -342,6 +349,18 @@ class TestExitCodes:
         code = main(["fit", "--data", str(path), "--response", "y",
                      "--covariates", "x"])
         assert code == 2
+        assert "variance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "test"])
+    def test_constant_response_exits_two(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(9)
+        path = tmp_path / "flat.csv"
+        write_csv(path, {"y": np.full(200, 5.0), "x": 5.0 * rng.random(200)})
+        argv = [command, "--data", str(path), "--response", "y",
+                "--covariates", "x"]
+        if command == "test":
+            argv += ["--seed", "1", "--boot", "200"]
+        assert main(argv) == 2
         assert "variance" in capsys.readouterr().err
 
     def test_near_singular_design_exits_two(self, tmp_path, capsys):

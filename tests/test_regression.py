@@ -158,6 +158,33 @@ class TestFitErrors:
         with pytest.raises(DegenerateFitError):
             fit_mle(data, ModelSpec(response="y", covariates=("x",)))
 
+    @pytest.mark.parametrize("covariates", [1, 2])
+    @pytest.mark.parametrize("n", [12, 200, 20_000])
+    @pytest.mark.parametrize("level", [5.0, 0.1, 1234.5678, -7.25e6, 3e-9])
+    def test_constant_response_is_degenerate(self, level, n, covariates):
+        # rounding leaves residuals of about eps * level; centering y first
+        # scales the rule to them rather than to Var(y) = 0
+        rng = np.random.default_rng(n + covariates)
+        columns = {"y": np.full(n, level)}
+        names = tuple(f"x{k}" for k in range(covariates))
+        for name in names:
+            columns[name] = 5.0 * rng.random(n)
+        with pytest.raises(DegenerateFitError):
+            fit_mle(Dataset(columns), ModelSpec(response="y", covariates=names))
+
+    @pytest.mark.parametrize("n", [200, 200_000])
+    @pytest.mark.parametrize(
+        "level,sd", [(0.0, 1.0), (1e6, 1e-3), (1e9, 1e-3), (-3e6, 1.0)]
+    )
+    def test_small_noise_on_a_large_level_still_fits(self, level, sd, n):
+        rng = np.random.default_rng(n)
+        x = 5.0 * rng.random(n)
+        y = level + 2.0 * x + sd * rng.standard_normal(n)
+        model = fit_mle(Dataset({"x": x, "y": y}), ModelSpec("y", ("x",)))
+        # within about four standard errors at n = 200
+        assert model.sigma2_hat == pytest.approx(sd**2, rel=0.4)
+        assert model.beta_hat[1] == pytest.approx(2.0, abs=0.3)
+
     def test_duplicated_covariate_column_reports_rank(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(30)

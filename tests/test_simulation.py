@@ -74,7 +74,7 @@ class TestGenerate:
             assert np.array_equal(a.columns[name], b.columns[name])
 
     @pytest.mark.parametrize(
-        "scenario,n", [(0, 50), (5, 50), (1, 9), (1, 10.5), (1.0, 50)]
+        "scenario,n", [(0, 50), (5, 50), (1, 9), (1, 10.5), (1.0, 50), (True, 50)]
     )
     def test_spec_validation(self, scenario, n):
         with pytest.raises(ValueError):
@@ -165,7 +165,7 @@ class TestRunMonteCarlo:
         assert run_monte_carlo(ScenarioSpec(1, 40), 6, cfg, threads=64) == serial
         assert pools == []  # unknown CPU count: one worker, no pool
 
-    @pytest.mark.parametrize("reps", [0, 2.5, 20.0])
+    @pytest.mark.parametrize("reps", [0, 2.5, 20.0, True])
     def test_reps_validation(self, reps):
         cfg = BootstrapConfig(n_boot=50, alpha=0.05, seed=44)
         with pytest.raises(ValueError):

@@ -184,9 +184,17 @@ class TestChiSquaredSf:
         )
 
     @pytest.mark.parametrize("df", [1, 2, 5, 20, np.int64(2)])
-    def test_equals_one_minus_cdf_below_df_plus_one(self, df):
+    def test_cdf_equals_one_minus_sf(self, df):
+        # below df + 1 and past it, into the tail where the cdf rounds to 1
+        for x in np.linspace(0.0, 4.0 * (df + 1.0) + 80.0, 100):
+            assert chi_squared_cdf(x, df) == 1.0 - chi_squared_sf(x, df)
+
+    @pytest.mark.parametrize("df", [1, 2, 5, 20, 27, 231])
+    def test_matches_scipy_below_df_plus_one(self, df):
         for x in np.linspace(0.0, df + 1.0, 50, endpoint=False):
-            assert chi_squared_sf(x, df) == 1.0 - chi_squared_cdf(x, df)
+            assert chi_squared_sf(x, df) == pytest.approx(
+                scipy.special.chdtrc(df, x), rel=1e-10
+            )
 
     @pytest.mark.parametrize(
         "x,df",
