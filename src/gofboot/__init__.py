@@ -17,6 +17,7 @@ from .bootstrap import (
 )
 from .diagnostics import AuxTestResult, breusch_pagan, white_test
 from .errors import (
+    ArgumentError,
     DataFormatError,
     DegenerateFitError,
     ExclusionLimitError,
@@ -47,6 +48,7 @@ from .variance import exact_var_gof, theoretical_var_gof, var_gof
 __version__ = "0.1.0"
 
 __all__ = [
+    "ArgumentError",
     "AuxTestResult",
     "BootstrapConfig",
     "DataFormatError",

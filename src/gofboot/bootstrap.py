@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-import operator
 import os
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ import numpy as np
 # so its import belongs to the import of this module, not to the first run
 from numpy.random import Generator, Philox
 
-from .errors import RedrawLimitError
+from .errors import ArgumentError, RedrawLimitError, as_int, check_alpha
 from .regression import CONDITION_LIMIT, Dataset, FittedModel, ModelSpec, fit_mle
 from .variance import theoretical_var_gof, var_gof
 
@@ -63,14 +62,13 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_boot", as_int(self.n_boot, "n_boot"))
+        object.__setattr__(self, "n_boot", as_int(self.n_boot, "n_boot", minimum=2))
         object.__setattr__(self, "seed", as_int(self.seed, "seed"))
-        if self.n_boot < 2:
-            raise ValueError(f"n_boot must be at least 2, got {self.n_boot}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+            raise ArgumentError(
+                f"seed must be an unsigned 64-bit integer, got {self.seed}"
+            )
 
 
 @dataclass(frozen=True)
@@ -115,17 +113,14 @@ def iteration_stream(seed: int, iteration: int) -> np.random.Generator:
     return _stream_positioner(seed)(iteration)
 
 
-def percentile_interval(
-    boot_values: np.ndarray, alpha: float
-) -> tuple[float, float]:
+def percentile_interval(boot_values: np.ndarray, alpha: float) -> tuple[float, float]:
     """Percentile interval from order statistics ceil(B q) of the values.
 
     The endpoints are the ceil(B alpha / 2)-th and ceil(B (1 - alpha / 2))-th
     smallest values, 1-indexed, so both endpoints are elements of the input.
     A NaN has no rank, so any non-finite value is refused.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     values = np.sort(np.asarray(boot_values, dtype=np.float64))
     b = values.size
     if b < 1:
@@ -147,13 +142,15 @@ def run_test(
     iterations may run across up to ``threads`` worker processes, at most
     one per CPU; the result is bit-identical for any value because
     iteration b always uses ``iteration_stream(seed, b)``, redraws
-    continue on that same stream, and no block is ever split.
+    continue on that same stream, and no block is ever split. ``threads``
+    is checked by :func:`check_threads` before the fit.
 
     Raises
     ------
     RedrawLimitError
         If any iteration exceeds ``MAX_REDRAWS`` discarded resamples.
     """
+    check_threads(threads)
     model = fit_mle(data, spec)
     var_observed = var_gof(model.residuals)
 
@@ -184,12 +181,9 @@ def map_chunks(worker, total: int, threads: int, args: tuple) -> list:
     Uses ``min(threads, total, os.cpu_count())`` worker processes and runs
     inline when that is one. The chunks are contiguous and non-empty, since
     there are at most ``total`` of them; the results come back in chunk
-    order. Raises ValueError unless ``threads`` is an integer of at least 1.
+    order. ``threads`` must pass :func:`check_threads`.
     """
-    threads = as_int(threads, "threads")
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
-    workers = min(threads, total, os.cpu_count() or 1)
+    workers = min(check_threads(threads), total, os.cpu_count() or 1)
     if workers <= 1:
         return [worker((*args, 0, total))]
     bounds = np.linspace(0, total, workers + 1).astype(int)
@@ -198,18 +192,9 @@ def map_chunks(worker, total: int, threads: int, args: tuple) -> list:
         return list(pool.map(worker, payloads))
 
 
-def as_int(value, name: str) -> int:
-    """``value`` as a Python int; ValueError if it is not an integer.
-
-    Accepts anything ``operator.index`` does, numpy integers included, and
-    so refuses a float rather than truncating it. A bool is refused too.
-    """
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def check_threads(threads) -> int:
+    """``threads`` as an int; ArgumentError unless it is an integer of at least 1."""
+    return as_int(threads, "threads", minimum=1)
 
 
 def _order_index(count: int, q: float) -> int:

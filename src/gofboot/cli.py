@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, run_test
-from .diagnostics import breusch_pagan, white_test
-from .errors import DataFormatError, GofbootError
+from .bootstrap import BootstrapConfig, check_threads, run_test
+from .diagnostics import breusch_pagan, check_covariates, white_test
+from .errors import ArgumentError, DataFormatError, GofbootError
 from .regression import Dataset, ModelSpec, aic, bic, fit_mle, gof_term
 from .simulation import ScenarioSpec, run_monte_carlo
 from .variance import exact_var_gof, theoretical_var_gof, var_gof
@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
+    except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (GofbootError, OSError, ValueError, MemoryError) as exc:
@@ -121,12 +121,12 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    # white and breusch-pagan are undefined for an intercept-only model
-    if not args.covariates:
-        raise _UsageError("test requires at least one covariate")
     spec = _model_spec(args)
+    # refuse what no data can mend before reading the CSV
+    check_covariates(spec)
+    check_threads(args.threads)
     seed = args.seed if args.seed is not None else secrets.randbits(64)
-    cfg = _build(BootstrapConfig, n_boot=args.boot, alpha=args.alpha, seed=seed)
+    cfg = BootstrapConfig(n_boot=args.boot, alpha=args.alpha, seed=seed)
     data = ingest_csv(args.data)
     result = run_test(data, spec, cfg, threads=args.threads)
     aux_tests = {}
@@ -163,8 +163,8 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cell = _build(ScenarioSpec, scenario=args.scenario, n=args.n)
-    cfg = _build(BootstrapConfig, n_boot=args.boot, alpha=args.alpha, seed=args.seed)
+    cell = ScenarioSpec(scenario=args.scenario, n=args.n)
+    cfg = BootstrapConfig(n_boot=args.boot, alpha=args.alpha, seed=args.seed)
     report = run_monte_carlo(cell, args.reps, cfg, threads=args.threads)
     record = {
         ("B" if key == "n_boot" else key): value
@@ -239,46 +239,18 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; usage errors must be 1
     def error(self, message):
-        raise _UsageError(message)
-
-
-def _build(factory, **fields):
-    # the library's constructors own every argument rule; a value they refuse
-    # is a usage error, raised before any data is read
-    try:
-        return factory(**fields)
-    except ValueError as exc:
-        raise _UsageError(exc) from None
+        raise ArgumentError(message)
 
 
 def _model_spec(args) -> ModelSpec:
-    return _build(
-        ModelSpec,
+    return ModelSpec(
         response=args.response,
         covariates=tuple(args.covariates),
         intercept=not args.no_intercept,
     )
-
-
-def _min_int_type(minimum: int, label: str):
-    def convert(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"{label} must be at least {minimum}, got {text}"
-            )
-        return value
-
-    # argparse names the type in its "invalid <type> value" message
-    convert.__name__ = "int"
-    return convert
 
 
 def _covariates_type(text: str) -> list[str]:
@@ -331,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, required=True, help="sample size")
     sim.add_argument(
         "--reps",
-        type=_min_int_type(1, "reps"),
+        type=int,
         default=500,
         help="Monte Carlo replicates",
     )
@@ -349,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for sub in (test, sim):
         sub.add_argument(
             "--threads",
-            type=_min_int_type(1, "threads"),
+            type=int,
             default=1,
             help="worker processes; results are identical for any value",
         )

@@ -14,8 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import RankDeficientError
-from .regression import Dataset, FittedModel, least_squares
+from .errors import ArgumentError, RankDeficientError, check_alpha
+from .regression import Dataset, FittedModel, ModelSpec, least_squares
 from .special import chi_squared_sf
 
 __all__ = ["AuxTestResult", "breusch_pagan", "white_test"]
@@ -42,8 +42,7 @@ class AuxTestResult:
 
     def reject_at(self, alpha: float) -> bool:
         """Whether the test rejects at level ``alpha``."""
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        check_alpha(alpha)
         return self.p_value < alpha
 
 
@@ -56,7 +55,7 @@ def breusch_pagan(model: FittedModel, data: Dataset) -> AuxTestResult:
 
     Raises
     ------
-    ValueError
+    ArgumentError
         If the model has no non-intercept covariates.
     RankDeficientError
         If the auxiliary design has rank one, with ``rank`` set to 0.
@@ -75,7 +74,7 @@ def white_test(model: FittedModel, data: Dataset) -> AuxTestResult:
 
     Raises
     ------
-    ValueError
+    ArgumentError
         If the model has no non-intercept covariates.
     RankDeficientError
         If the auxiliary design has rank one, with ``rank`` set to 0.
@@ -86,13 +85,17 @@ def white_test(model: FittedModel, data: Dataset) -> AuxTestResult:
     return _nr2_test(model, base + squares + products)
 
 
-def _centered_covariates(model: FittedModel, data: Dataset) -> list[np.ndarray]:
-    names = model.spec.covariates
-    if not names:
-        raise ValueError(
+def check_covariates(spec: ModelSpec) -> None:
+    """ArgumentError unless ``spec`` has a covariate, which both tests need."""
+    if not spec.covariates:
+        raise ArgumentError(
             "White and Breusch-Pagan tests require at least one covariate"
         )
-    return [data.columns[c] - data.columns[c].mean() for c in names]
+
+
+def _centered_covariates(model: FittedModel, data: Dataset) -> list[np.ndarray]:
+    check_covariates(model.spec)
+    return [data.columns[c] - data.columns[c].mean() for c in model.spec.covariates]
 
 
 def _nr2_test(model: FittedModel, regressors: list[np.ndarray]) -> AuxTestResult:

@@ -1,8 +1,14 @@
-"""Exceptions raised by fitting, variance estimation, and resampling."""
+"""Exceptions of this package, and the argument rules its entry points share."""
+
+import operator
 
 
 class GofbootError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class ArgumentError(GofbootError, ValueError):
+    """An argument breaks a rule that holds whatever the data; CLI exit 1."""
 
 
 class InsufficientDataError(GofbootError):
@@ -45,3 +51,26 @@ class ExclusionLimitError(GofbootError):
 
 class DataFormatError(GofbootError):
     """CSV input is malformed (bad header, ragged row, non-numeric cell)."""
+
+
+def as_int(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as a Python int of at least ``minimum``, else ArgumentError.
+
+    Accepts anything ``operator.index`` does, numpy integers included, and
+    so refuses a float rather than truncating it. A bool is refused too.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise ArgumentError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ArgumentError(f"{name} must be at least {minimum}, got {number}")
+    return number
+
+
+def check_alpha(alpha) -> None:
+    """ArgumentError unless the test level ``alpha`` lies in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ArgumentError(f"alpha must be in (0, 1), got {alpha}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ArgumentError,
     DegenerateFitError,
     InsufficientDataError,
     RankDeficientError,
@@ -101,13 +102,17 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "covariates", tuple(self.covariates))
         if not self.response:
-            raise ValueError("response name must be nonempty")
+            raise ArgumentError("response name must be nonempty")
         if len(set(self.covariates)) != len(self.covariates):
-            raise ValueError("covariate names must be unique")
+            raise ArgumentError("covariate names must be unique")
         if self.response in self.covariates:
-            raise ValueError(f"response {self.response!r} also listed as a covariate")
+            raise ArgumentError(
+                f"response {self.response!r} also listed as a covariate"
+            )
         if not self.intercept and not self.covariates:
-            raise ValueError("model must have an intercept or at least one covariate")
+            raise ArgumentError(
+                "model must have an intercept or at least one covariate"
+            )
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,7 @@ class FittedModel:
         Number of mean parameters (columns of the design matrix).
     spec : ModelSpec
         The specification that produced the design matrix.
-    basis : np.ndarray or None
+    basis : np.ndarray
         Orthonormal basis of the design's column span, shape (n, r), from
         the fit's own decomposition; the bootstrap refits in it.
     """
@@ -139,7 +144,7 @@ class FittedModel:
     n: int
     r: int
     spec: ModelSpec = field(repr=False)
-    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
+    basis: np.ndarray = field(repr=False, compare=False)
 
 
 def build_design(data: Dataset, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -27,14 +27,16 @@ import numpy as np
 # map_chunks is reached through its module: perfbench/tracer.py wraps the
 # functions bound across modules, and would bill a replicate to bootstrap
 from . import bootstrap
-from .bootstrap import BootstrapConfig, as_int, run_test
+from .bootstrap import BootstrapConfig, run_test
 from .diagnostics import breusch_pagan, white_test
 from .errors import (
+    ArgumentError,
     DegenerateFitError,
     ExclusionLimitError,
     InsufficientDataError,
     RankDeficientError,
     SingularInformationError,
+    as_int,
 )
 from .regression import Dataset, ModelSpec
 
@@ -67,11 +69,9 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "scenario", as_int(self.scenario, "scenario"))
-        object.__setattr__(self, "n", as_int(self.n, "sample size"))
+        object.__setattr__(self, "n", as_int(self.n, "sample size", minimum=10))
         if self.scenario not in (1, 2, 3, 4):
-            raise ValueError(f"scenario must be 1, 2, 3, or 4, got {self.scenario}")
-        if self.n < 10:
-            raise ValueError(f"sample size must be at least 10, got {self.n}")
+            raise ArgumentError(f"scenario must be 1, 2, 3, or 4, got {self.scenario}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,9 @@ class SimReport:
     """Aggregated rejection rates for one (scenario, n) cell.
 
     ``rates`` and ``mc_stderr`` map test name (``bootstrap``, ``white``,
-    ``breusch_pagan``) to the rejection rate over included replicates and
-    its binomial standard error sqrt(p (1 - p) / reps).
+    ``breusch_pagan``) to the rejection rate p over the included
+    replicates, reps - excluded of them, and its binomial standard error
+    sqrt(p (1 - p) / (reps - excluded)).
     """
 
     scenario: int
@@ -137,19 +138,14 @@ def run_monte_carlo(
     ExclusionLimitError
         If at least 0.1 percent of replicates fails to fit.
     """
-    reps = as_int(reps, "reps")
-    if reps < 1:
-        raise ValueError(f"reps must be positive, got {reps}")
-
+    reps = as_int(reps, "reps", minimum=1)
     flags = np.concatenate(
         bootstrap.map_chunks(_replicate_chunk, reps, threads, (cell, cfg))
     )
     excluded = flags[:, 3]
     n_excluded = int(excluded.sum())
     if n_excluded / reps >= EXCLUSION_LIMIT:
-        raise ExclusionLimitError(
-            f"{n_excluded} of {reps} replicates failed to fit"
-        )
+        raise ExclusionLimitError(f"{n_excluded} of {reps} replicates failed to fit")
     included = ~excluded
     n_used = int(included.sum())
     rates = {}

@@ -14,7 +14,8 @@ each term's exponent a log h - h - lgamma(a + 1) approaches 1e-10 relative.
 from __future__ import annotations
 
 import math
-import operator
+
+from .errors import ArgumentError, as_int
 
 __all__ = ["trigamma", "chi_squared_cdf", "chi_squared_sf"]
 
@@ -53,12 +54,12 @@ def trigamma(x: float) -> float:
 
     Raises
     ------
-    ValueError
+    ArgumentError
         If ``x`` is not a positive finite number.
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"trigamma requires a positive finite argument, got {x!r}")
+        raise ArgumentError(f"trigamma requires a positive finite argument, got {x!r}")
 
     acc = 0.0
     while x < _SHIFT_THRESHOLD:
@@ -94,11 +95,10 @@ def chi_squared_cdf(x: float, df: int) -> float:
 
     Raises
     ------
-    ValueError
-        If ``x`` is negative or non-finite, or ``df`` is not a positive
-        integer.
+    ArgumentError
+        If ``x`` is negative or non-finite, or ``df`` is not an integer of
+        at least 1.
     """
-    _check_chi_squared_args(x, df, "chi_squared_cdf")
     return 1.0 - chi_squared_sf(x, df)
 
 
@@ -116,7 +116,10 @@ def chi_squared_sf(x: float, df: int) -> float:
 
     Parameters and errors are those of :func:`chi_squared_cdf`.
     """
-    x, df = _check_chi_squared_args(x, df, "chi_squared_sf")
+    df = as_int(df, "degrees of freedom", minimum=1)
+    x = float(x)
+    if not math.isfinite(x) or x < 0.0:
+        raise ArgumentError(f"chi-squared x must be finite and >= 0, got {x!r}")
     if x == 0.0:
         return 1.0
     h = 0.5 * x
@@ -130,16 +133,3 @@ def chi_squared_sf(x: float, df: int) -> float:
         terms.append(math.erfc(math.sqrt(h)))
     return math.fsum(terms)
 
-
-def _check_chi_squared_args(x, df, name: str) -> tuple[float, int]:
-    # operator.index takes numpy integers and refuses floats; bool is an int
-    try:
-        count = operator.index(df)
-    except TypeError:
-        count = 0
-    if isinstance(df, bool) or count < 1:
-        raise ValueError(f"degrees of freedom must be a positive integer, got {df!r}")
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"{name} requires x >= 0, got {x!r}")
-    return x, count

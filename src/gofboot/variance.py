@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import as_int
 from .special import trigamma
 
 __all__ = [
@@ -49,9 +50,7 @@ def var_gof(residuals: np.ndarray) -> float:
 
 def theoretical_var_gof(n: int) -> float:
     """Large-sample variance of -2 loglik under correct specification: 2n."""
-    if n < 1:
-        raise ValueError(f"sample size must be positive, got {n}")
-    return 2.0 * n
+    return 2.0 * as_int(n, "sample size", minimum=1)
 
 
 def exact_var_gof(n: int, r: int) -> float:
@@ -66,10 +65,8 @@ def exact_var_gof(n: int, r: int) -> float:
     n : int
         Sample size, must exceed ``r``.
     r : int
-        Number of mean parameters.
+        Number of mean parameters, at least 1.
     """
-    if r < 1:
-        raise ValueError(f"parameter count must be positive, got {r}")
-    if n <= r:
-        raise ValueError(f"sample size must exceed parameter count, got n={n}, r={r}")
+    r = as_int(r, "parameter count", minimum=1)
+    n = as_int(n, "sample size", minimum=r + 1)
     return n * n * trigamma(0.5 * (n - r))

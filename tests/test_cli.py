@@ -270,9 +270,12 @@ class TestExitCodes:
             [],
             ["bogus"],
             ["fit", "--response", "y"],                       # missing --data
-            ["test", "--data", "x.csv", "--response", "y", "--alpha", "1.5"],
-            ["test", "--data", "x.csv", "--response", "y", "--seed", "-3"],
-            ["test", "--data", "x.csv", "--response", "y", "--boot", "1"],
+            ["test", "--data", "x.csv", "--response", "y", "--covariates", "x",
+             "--alpha", "1.5"],
+            ["test", "--data", "x.csv", "--response", "y", "--covariates", "x",
+             "--seed", "-3"],
+            ["test", "--data", "x.csv", "--response", "y", "--covariates", "x",
+             "--boot", "1"],
             ["simulate", "--scenario", "7", "--n", "50", "--seed", "1"],
             ["simulate", "--scenario", "1", "--n", "5", "--seed", "1"],
             ["simulate", "--scenario", "1", "--n", "50"],     # missing --seed

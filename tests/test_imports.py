@@ -21,7 +21,8 @@ class TestImportContract:
     def test_public_names(self):
         # no helper that the program itself bypasses is exported
         assert sorted(gofboot.__all__) == [
-            "AuxTestResult", "BootstrapConfig", "DataFormatError", "Dataset",
+            "ArgumentError", "AuxTestResult", "BootstrapConfig", "DataFormatError",
+            "Dataset",
             "DegenerateFitError", "ExclusionLimitError", "FittedModel",
             "GofTestResult", "GofbootError", "InsufficientDataError",
             "ModelSpec", "RankDeficientError", "RedrawLimitError",

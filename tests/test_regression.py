@@ -61,6 +61,7 @@ def synthetic_model(n, sigma2, r=1):
         n=n,
         r=r,
         spec=ModelSpec(response="y", covariates=()),
+        basis=np.zeros((n, 0)),
     )
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gofboot import (
+    ArgumentError,
     Dataset,
     ModelSpec,
     SingularInformationError,
@@ -270,3 +271,13 @@ class TestReferenceVariances:
             exact_var_gof(3, 3)
         with pytest.raises(ValueError):
             exact_var_gof(10, 0)
+
+    @pytest.mark.parametrize("bad", [2.5, True, np.float64(10.0)])
+    def test_sizes_must_be_integers(self, bad):
+        # arithmetic would take a float or a bool, but neither is a size
+        with pytest.raises(ArgumentError, match="must be an integer"):
+            theoretical_var_gof(bad)
+        with pytest.raises(ArgumentError, match="must be an integer"):
+            exact_var_gof(bad, 2)
+        with pytest.raises(ArgumentError, match="must be an integer"):
+            exact_var_gof(20, bad)
